@@ -1,7 +1,7 @@
 """DPOR schedule-space reduction on the paper's agreement objects.
 
 Naive exhaustive exploration enumerates every interleaving --
-O(branching^depth) prefix replays.  Dynamic partial-order reduction
+O(branching^depth) runs.  Dynamic partial-order reduction
 explores one representative per Mazurkiewicz trace (schedules equivalent
 up to commuting independent steps).  Reproduced claims:
 
@@ -11,17 +11,24 @@ up to commuting independent steps).  Reproduced claims:
   25% of naive's schedules (measured: ~1.4%).
 
 The headline naive measurement (3-process safe-agreement, ~219k runs)
-takes a couple of minutes, so the full report regeneration is marked
-``slow``; the committed ``results/dpor_reduction.txt`` embeds the
-numbers.
+takes about 35 seconds (2-vCPU Intel Xeon VM, CPython 3.11.7), so the
+full report regeneration is marked ``slow``; the committed
+``results/dpor_reduction.txt`` embeds the numbers.
 """
+
+import json
+import os
 
 import pytest
 
 from repro.runtime import explore
 from repro.scenarios import check_scenarios
 
-from .harness import header, write_report
+from .harness import RESULTS_DIR, header, write_report
+
+#: Column header of the results table; committed rows follow it.
+TABLE_HEADER = (f"{'scenario':<38} {'naive':>8} {'dpor':>7} "
+                f"{'ratio':>7} {'states':>7}")
 
 
 def _terminal_states(sc, reduction, max_runs=500_000):
@@ -47,6 +54,19 @@ def _compare(sc):
     dpor_states, dpor_stats = _terminal_states(sc, "dpor")
     assert dpor_states == naive_states, sc.name
     return naive_states, naive_stats, dpor_states, dpor_stats
+
+
+def _committed_totals():
+    """{scenario: (naive runs, dpor runs)} of the committed table."""
+    with open(os.path.join(RESULTS_DIR, "dpor_reduction.json")) as fh:
+        lines = json.load(fh)["data"]["lines"]
+    totals = {}
+    for line in lines[lines.index(TABLE_HEADER) + 1:]:
+        if not line:
+            break
+        naive, dpor = line[38:].split()[:2]
+        totals[line[:38].strip()] = (int(naive), int(dpor))
+    return totals
 
 
 def test_dpor_bench(benchmark):
@@ -77,8 +97,13 @@ def test_dpor_acceptance_fast():
 def test_dpor_reduction_report():
     """Full naive-vs-DPOR comparison; regenerates the results table.
 
-    The 3-process safe-agreement naive sweep alone replays ~219k
-    schedules (about two minutes).
+    The fresh naive and DPOR run totals must equal the committed
+    table's before it is overwritten: both engines are deterministic,
+    so any difference is a behaviour change, never noise.
+
+    The 3-process safe-agreement naive sweep alone explores ~219k
+    schedules (about 35 seconds on a 2-vCPU Intel Xeon VM, CPython
+    3.11.7).
     """
     scenarios = {
         "safe-agreement (n=2)": check_scenarios(n=2)["safe-agreement"],
@@ -95,8 +120,7 @@ def test_dpor_reduction_report():
         "run and must observe identical terminal-state sets ('states').",
         "ratio = dpor / naive runs; the acceptance bar for 3-process",
         "safe-agreement is <= 0.25.")
-    lines.append(f"{'scenario':<38} {'naive':>8} {'dpor':>7} "
-                 f"{'ratio':>7} {'states':>7}")
+    lines.append(TABLE_HEADER)
     table = []
     for label, sc in scenarios.items():
         states, naive_stats, _, dpor_stats = _compare(sc)
@@ -110,6 +134,12 @@ def test_dpor_reduction_report():
                      f"{len(states):>7}")
         if "safe-agreement (n=3)" == label:
             assert ratio <= 0.25, f"reduction bar missed: {ratio}"
+    fresh = {row["scenario"]: (row["naive_runs"], row["dpor_runs"])
+             for row in table}
+    committed = _committed_totals()
+    assert fresh == committed, (
+        f"run totals differ from the committed table; fresh "
+        f"(naive, dpor): {fresh}, committed: {committed}")
     lines.append("")
     lines.append("DPOR's own pruned-branch counters (lower bounds on "
                  "the saving):")

@@ -69,7 +69,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional,
 from .adversary import Adversary
 from .crash import CrashPlan
 from .explore import (ExplorationStats, ShardViolation, _max_runs_interrupt,
-                      _past_deadline, _timeout_interrupt)
+                      _past_deadline, _run_serial, _timeout_interrupt)
 from .fingerprint import Fingerprinter
 from .ops import EMPTY_FOOTPRINT, Footprint, Invocation, SpinOp, conflicts
 from .process import ProcessHandle, ProcessStatus
@@ -91,10 +91,12 @@ class _InertAdversary(Adversary):
 class _System:
     """A live system replayed step by step under explorer control.
 
-    Wraps a fresh ``build()`` result plus a scheduler, exposing exactly
-    what the DPOR engine needs: the filtered candidate set at the current
-    state, the pending footprint of each live process, and one-step
-    execution returning the footprint actually exercised.
+    The one replay substrate of every engine: DPOR, the naive DFS,
+    frontier expansion and ddmin shrinking.  Wraps a fresh ``build()``
+    result plus a scheduler, exposing the filtered candidate set at the
+    current state, the pending footprint of each live process, one-step
+    execution returning the footprint actually exercised, and the
+    ``RunResult`` of a terminal state.
 
     ``fp_memo`` is an optional footprint memo *shared across rebuilds*
     of one exploration: footprints are pure functions of ``(pid, obj,
@@ -126,9 +128,9 @@ class _System:
 
     # ------------------------------------------------------------------
     def _stutters(self, handle: ProcessHandle) -> bool:
-        """Exact stutter pruning, identical to the naive explorer: a
-        process whose single-condition spin already failed since the last
-        state-changing step would deterministically fail again."""
+        """Exact stutter pruning: a process whose single-condition spin
+        already failed since the last state-changing step would
+        deterministically fail again."""
         return (isinstance(handle.pending, SpinOp)
                 and handle.pending.period == 1
                 and handle.spin_failures > 0)
@@ -1032,31 +1034,10 @@ def explore_dpor(build: Builder,
             prefix_factor=prefix_factor or DEFAULT_PREFIX_FACTOR,
             metrics=metrics, deadline=deadline,
             state_cache=state_cache)
-    if metrics is None:
-        return _explore_core(build, check,
-                             crash_plan_factory=crash_plan_factory,
-                             max_steps=max_steps, max_runs=max_runs,
-                             shrink=shrink, deadline=deadline,
-                             state_cache=state_cache,
-                             fingerprinter=fingerprinter)
-    from time import perf_counter
-    counters: Dict[str, Any] = {}
-    start = perf_counter()
-    try:
-        stats = _explore_core(build, check,
-                              crash_plan_factory=crash_plan_factory,
-                              max_steps=max_steps, max_runs=max_runs,
-                              shrink=shrink, counters=counters,
-                              deadline=deadline,
-                              state_cache=state_cache,
-                              fingerprinter=fingerprinter)
-    finally:
-        # A serial run is one shard; shrink time was split out into the
-        # counters channel, so keep the shard phase to the search proper.
-        elapsed = perf_counter() - start
-        metrics.record_phase(
-            "shard_execution",
-            max(0.0, elapsed - counters.get("shrink_seconds", 0.0)))
-        metrics.absorb_counters(counters)
-    metrics.record_stats(stats)
-    return stats
+    return _run_serial(
+        lambda counters: _explore_core(
+            build, check, crash_plan_factory=crash_plan_factory,
+            max_steps=max_steps, max_runs=max_runs, shrink=shrink,
+            counters=counters, deadline=deadline,
+            state_cache=state_cache, fingerprinter=fingerprinter),
+        metrics)

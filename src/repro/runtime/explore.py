@@ -3,9 +3,12 @@
 Sampling schedules with seeded adversaries catches most interleaving
 bugs; *exhausting* them proves their absence for small configurations.
 :func:`explore` enumerates every schedule of a (re-buildable) system by
-depth-first search over the enabled set, replaying each prefix from
-scratch -- objects and generators are cheap to rebuild, which keeps the
-explorer stateless and trivially correct.
+depth-first search over the candidate set, lowest pid first.  Every
+engine walks the tree on the same substrate,
+:class:`repro.runtime.dpor._System`: one live system follows the walk
+down, and after a backtrack a fresh ``build()`` is re-synced by
+replaying the prefix -- objects and generators are cheap to rebuild,
+which keeps the explorer stateless and trivially correct.
 
 Used by the test suite to verify, over ALL interleavings of 2-3 process
 systems (and per crash plan):
@@ -28,12 +31,8 @@ from typing import (Any, Callable, Dict, Generator, List, Optional,
 
 from time import monotonic
 
-from .adversary import Adversary
 from .crash import CrashPlan
-from .process import ProcessHandle
 from .run import RunResult
-from .scheduler import Scheduler
-from .trace import Trace
 
 
 class ExplorationInterrupted(RuntimeError):
@@ -188,89 +187,6 @@ class ExplorationStats:
         return text
 
 
-class _Replay(Adversary):
-    """Plays a fixed prefix; raises if asked beyond it."""
-
-    def __init__(self, prefix: List[int]) -> None:
-        self.prefix = prefix
-        self.cursor = 0
-
-    def pick(self, enabled, step):
-        choice = self.prefix[self.cursor]
-        self.cursor += 1
-        if choice not in enabled:
-            raise AssertionError(
-                f"replay divergence: {choice} not enabled at step "
-                f"{step} (enabled: {enabled})")
-        return choice
-
-    def reset(self) -> None:
-        self.cursor = 0
-
-
-def _run_prefix(build: Callable[[], Tuple[Dict[int, Generator], Any]],
-                prefix: List[int],
-                crash_plan_factory: Optional[Callable[[], CrashPlan]],
-                max_steps: int):
-    """Replay ``prefix``; returns (result_or_None, enabled_after).
-
-    result is a RunResult when the system reached a terminal state
-    (including detected deadlock) during or exactly at the end of the
-    prefix; otherwise None and the enabled set for extension.
-    """
-    programs, store = build()
-    handles = {pid: ProcessHandle(pid, gen)
-               for pid, gen in programs.items()}
-    scheduler = Scheduler(
-        handles=handles,
-        store=store,
-        adversary=_Replay(prefix),
-        crash_plan=(crash_plan_factory() if crash_plan_factory else None),
-        trace=Trace(enabled=False),
-        max_steps=max_steps,
-    )
-    # Drive manually: one pick per prefix entry.
-    for _ in range(len(prefix)):
-        enabled = scheduler._enabled()
-        if not enabled:
-            break
-        scheduler._step(handles[scheduler.adversary.pick(
-            enabled, scheduler.steps)])
-    enabled = scheduler._enabled()
-    # Extension candidates with exact stutter pruning: a process whose
-    # pending single-condition spin already failed since the last
-    # state-changing step (spin_failures > 0, reset by the scheduler on
-    # every mutating step) would deterministically fail again -- the
-    # store cannot have changed -- so re-scheduling it is a stutter and
-    # every schedule containing it is equivalent to one without.
-    from .ops import SpinOp
-    candidates = [pid for pid in enabled
-                  if not (isinstance(handles[pid].pending, SpinOp)
-                          and handles[pid].pending.period == 1
-                          and handles[pid].spin_failures > 0)]
-    deadlocked = bool(enabled) and not candidates
-    if deadlocked:
-        # every enabled process is spinning on a provably-false
-        # condition: permanent deadlock, exactly detected.
-        for pid in enabled:
-            handles[pid].mark_blocked()
-        enabled = []
-    if not enabled:
-        decisions = {pid: h.decision for pid, h in handles.items()
-                     if h.decided}
-        result = RunResult(
-            statuses={pid: h.status for pid, h in handles.items()},
-            decisions=decisions,
-            steps=scheduler.steps,
-            deadlocked=deadlocked,
-            out_of_steps=False,
-            trace=None,
-            store=store,
-        )
-        return result, []
-    return None, sorted(candidates)
-
-
 def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
                    check: Callable[[RunResult], None],
                    crash_plan_factory: Optional[Callable[[], CrashPlan]],
@@ -281,52 +197,115 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
                    counters: Optional[Dict[str, Any]] = None,
                    deadline: Optional[float] = None
                    ) -> ExplorationStats:
-    """Naive DFS over all schedules extending ``root``.
+    """Naive DFS, lowest pid first, over all schedules extending ``root``.
+
+    One live :class:`repro.runtime.dpor._System` follows the walk down
+    the tree; after a leaf it is rebuilt and re-synced from the root
+    before the next sibling is stepped, so every engine shares the
+    substrate's stutter pruning, deadlock detection and ``RunResult``
+    assembly.
 
     With ``collect=True`` (shard mode) the first check failure is
     recorded as ``stats.violation`` and the walk stops there instead of
     raising, so the coordinator can merge shard outcomes
     deterministically.  ``counters`` is an optional plain-dict metrics
     channel (see :mod:`repro.analysis.metrics`); the naive walk reports
-    only its open-node watermark (``peak_frontier``), and never touches
-    ``ExplorationStats`` -- exploration statistics stay bit-for-bit
-    identical whether or not metrics are collected.
+    only its open-node watermark (``peak_frontier``: prefixes pushed but
+    not yet visited), and never touches ``ExplorationStats`` --
+    exploration statistics stay bit-for-bit identical whether or not
+    metrics are collected.
     """
+    from .dpor import _System
+
     stats = ExplorationStats()
-    stack: List[List[int]] = [list(root)]
-    while stack:
-        if counters is not None and len(stack) > counters.get(
+    fp_memo: Dict[Any, Any] = {}
+    sysm = _System(build, crash_plan_factory, fp_memo)
+    for depth, pid in enumerate(root):
+        cands = sysm.candidates()
+        if pid not in cands:
+            raise RuntimeError(
+                f"shard prefix diverged: {pid} not schedulable at depth "
+                f"{depth} (candidates: {cands})")
+        sysm.execute(pid)
+    prefix = list(root)
+    # todo[i] holds the unvisited children of the expanded node at depth
+    # len(root) + i, highest pid first so that pop() takes the lowest.
+    todo: List[List[int]] = []
+    unvisited = 1  # the root itself
+    synced = True
+    while unvisited:
+        if counters is not None and unvisited > counters.get(
                 "peak_frontier", 0):
-            counters["peak_frontier"] = len(stack)
+            counters["peak_frontier"] = unvisited
         if stats.total_runs >= max_runs:
-            # Inclusive budget: the stack is non-empty, so at least one
-            # more run would be needed to finish the exploration.
+            # Inclusive budget: a prefix is still unvisited, so at least
+            # one more run would be needed to finish the exploration.
             raise _max_runs_interrupt(max_runs, stats)
         if _past_deadline(deadline):
             raise _timeout_interrupt(stats)
-        prefix = stack.pop()
+        unvisited -= 1
+        if todo:
+            while not todo[-1]:
+                todo.pop()
+            del prefix[len(root) + len(todo) - 1:]
+            pick = todo[-1].pop()
+            if not synced:
+                sysm = _System(build, crash_plan_factory, fp_memo)
+                for pid in prefix:
+                    sysm.execute(pid)
+                synced = True
+            sysm.execute(pick)
+            prefix.append(pick)
         stats.max_depth_seen = max(stats.max_depth_seen, len(prefix))
-        result, enabled = _run_prefix(build, prefix,
-                                      crash_plan_factory, max_steps)
-        if result is not None:
+        cands = sysm.candidates()
+        if not cands:
             stats.complete_runs += 1
-            if collect:
-                try:
-                    check(result)
-                except Exception as exc:
-                    stats.violation = ShardViolation(
-                        order_key=tuple(root),
-                        schedule=tuple(prefix),
-                        message=f"{type(exc).__name__}: {exc}",
-                        error_type=type(exc).__name__)
-                    return stats
-            else:
-                check(result)
+            try:
+                check(sysm.result())
+            except Exception as exc:
+                if not collect:
+                    raise
+                stats.violation = ShardViolation(
+                    order_key=tuple(root),
+                    schedule=tuple(prefix),
+                    message=f"{type(exc).__name__}: {exc}",
+                    error_type=type(exc).__name__)
+                return stats
         elif len(prefix) >= max_steps:
             stats.truncated_runs += 1
         else:
-            for pid in reversed(enabled):
-                stack.append(prefix + [pid])
+            todo.append(cands[::-1])
+            unvisited += len(cands)
+            continue
+        # A leaf: the next prefix is a sibling, not a child, of this one.
+        synced = False
+    return stats
+
+
+def _run_serial(engine: Callable[[Optional[Dict[str, Any]]],
+                                 ExplorationStats],
+                metrics: Optional[Any]) -> ExplorationStats:
+    """Run a serial engine, ``engine(counters)``, settling ``metrics``.
+
+    A serial run is one shard.  Its wall clock, less the shrink time the
+    engine split out into the counters channel, is the shard phase; it
+    and the counters are recorded even when a check failure or budget
+    error propagates.  Without ``metrics`` the engine gets no counters.
+    """
+    if metrics is None:
+        return engine(None)
+    from time import perf_counter
+    counters: Dict[str, Any] = {}
+    start = perf_counter()
+    try:
+        stats = engine(counters)
+    finally:
+        elapsed = perf_counter() - start
+        metrics.record_phase(
+            "shard_execution",
+            max(0.0, elapsed - counters.get("shrink_seconds", 0.0)))
+        metrics.absorb_counters(counters)
+    metrics.record_stats(stats)
     return stats
 
 
@@ -355,8 +334,8 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
 
     ``reduction`` selects the engine:
 
-    * ``"naive"`` -- enumerate every interleaving by stateless prefix
-      replay (the historical behaviour; O(branching^depth)).
+    * ``"naive"`` -- enumerate every interleaving (the historical
+      behaviour; O(branching^depth)).
     * ``"dpor"`` -- dynamic partial-order reduction
       (:func:`repro.runtime.dpor.explore_dpor`): one representative per
       class of schedules equivalent up to commuting independent steps.
@@ -419,20 +398,8 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
                             max_steps=max_steps, max_runs=max_runs,
                             metrics=metrics, deadline=deadline,
                             state_cache=state_cache)
-    if metrics is None:
-        return _explore_naive(build, check, crash_plan_factory,
-                              max_steps, max_runs, deadline=deadline)
-    from time import perf_counter
-    counters: Dict[str, Any] = {}
-    start = perf_counter()
-    try:
-        stats = _explore_naive(build, check, crash_plan_factory,
-                               max_steps, max_runs, counters=counters,
-                               deadline=deadline)
-    finally:
-        # A serial run is one shard; timing and watermarks are recorded
-        # even when a check failure or budget error propagates.
-        metrics.record_phase("shard_execution", perf_counter() - start)
-        metrics.absorb_counters(counters)
-    metrics.record_stats(stats)
-    return stats
+    return _run_serial(
+        lambda counters: _explore_naive(
+            build, check, crash_plan_factory, max_steps, max_runs,
+            counters=counters, deadline=deadline),
+        metrics)

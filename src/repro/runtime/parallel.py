@@ -47,7 +47,7 @@ from .dpor import (Counterexample, CounterexampleFound, _explore_core,
                    _System, replay_schedule, shrink_schedule)
 from .explore import (ExplorationInterrupted, ExplorationStats,
                       ShardViolation, _explore_naive, _max_runs_interrupt,
-                      _past_deadline, _run_prefix, _timeout_interrupt)
+                      _past_deadline, _timeout_interrupt)
 from .lease import (DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LEASE_TIMEOUT,
                     LeaseTable)
 from .ops import conflicts
@@ -517,9 +517,12 @@ def _expand_frontier(build: Builder,
     states met during expansion are counted (and checked -- violations
     are *collected* into ``stats.violation``, first-by-prefix wins) so
     frontier + shard statistics add up exactly to a full exploration.
-    With ``use_sleep`` (DPOR mode) every non-sleeping candidate is
-    scheduled at each expanded state -- a trivially persistent set -- and
-    children inherit sleep sets by the serial engine's exact rule.
+    Each expanded prefix is replayed on a fresh ``_System``, the
+    substrate the shard engines use.  Without ``use_sleep`` (naive mode)
+    every candidate is scheduled, with an empty sleep set.  With it
+    (DPOR mode) every non-sleeping candidate is scheduled at each
+    expanded state -- a trivially persistent set -- and children
+    inherit sleep sets by the serial engine's exact rule.
     ``counters`` is the optional plain-dict metrics channel (frontier
     watermark and sleep-set accounting; never exploration statistics).
     """
@@ -537,24 +540,14 @@ def _expand_frontier(build: Builder,
         if _past_deadline(deadline):
             raise _timeout_interrupt(stats)
         stats.max_depth_seen = max(stats.max_depth_seen, len(prefix))
-        if use_sleep:
-            sysm = _System(build, crash_plan_factory)
-            for pid in prefix:
-                sysm.execute(pid)
-            cands = sysm.candidates()
-            if not cands:
-                stats.complete_runs += 1
-                result = sysm.result()
-            else:
-                result = None
-        else:
-            result, cands = _run_prefix(build, list(prefix),
-                                        crash_plan_factory, max_steps)
-            if result is not None:
-                stats.complete_runs += 1
-        if result is not None:
+        sysm = _System(build, crash_plan_factory)
+        for pid in prefix:
+            sysm.execute(pid)
+        cands = sysm.candidates()
+        if not cands:
+            stats.complete_runs += 1
             try:
-                check(result)
+                check(sysm.result())
             except Exception as exc:  # noqa: BLE001 - collected
                 stats = stats.merge(ExplorationStats(
                     violation=ShardViolation(
@@ -565,35 +558,35 @@ def _expand_frontier(build: Builder,
         if len(prefix) >= max_steps:
             stats.truncated_runs += 1
             continue
-        if use_sleep:
-            explorable = [p for p in cands if p not in sleep]
-            if counters is not None:
-                counters["sleep_checks"] = (counters.get("sleep_checks", 0)
-                                            + len(cands))
-                counters["sleep_hits"] = (counters.get("sleep_hits", 0)
-                                          + len(cands) - len(explorable))
-            if not explorable:
-                stats.pruned_runs += 1
-                continue
-            pending_fps = sysm.alive_footprints()
-            done: set = set()
-            for pick in explorable:
-                # Child sleep set: exactly the serial engine's rule,
-                # evaluated against the footprint ``pick`` executes.
-                child_sys = _System(build, crash_plan_factory)
-                for pid in prefix:
-                    child_sys.execute(pid)
-                child_sys.candidates()
-                fp = child_sys.execute(pick)
-                child_sleep = frozenset(
-                    q for q in (set(sleep) | done) - {pick}
-                    if q in pending_fps
-                    and not conflicts(pending_fps[q], fp))
-                open_nodes.append((prefix + (pick,), child_sleep))
-                done.add(pick)
-        else:
+        if not use_sleep:
             for pick in cands:
                 open_nodes.append((prefix + (pick,), frozenset()))
+            continue
+        explorable = [p for p in cands if p not in sleep]
+        if counters is not None:
+            counters["sleep_checks"] = (counters.get("sleep_checks", 0)
+                                        + len(cands))
+            counters["sleep_hits"] = (counters.get("sleep_hits", 0)
+                                      + len(cands) - len(explorable))
+        if not explorable:
+            stats.pruned_runs += 1
+            continue
+        pending_fps = sysm.alive_footprints()
+        done: set = set()
+        for pick in explorable:
+            # Child sleep set: exactly the serial engine's rule,
+            # evaluated against the footprint ``pick`` executes.
+            child_sys = _System(build, crash_plan_factory)
+            for pid in prefix:
+                child_sys.execute(pid)
+            child_sys.candidates()
+            fp = child_sys.execute(pick)
+            child_sleep = frozenset(
+                q for q in (set(sleep) | done) - {pick}
+                if q in pending_fps
+                and not conflicts(pending_fps[q], fp))
+            open_nodes.append((prefix + (pick,), child_sleep))
+            done.add(pick)
     if counters is not None and len(open_nodes) > counters.get(
             "peak_frontier", 0):
         counters["peak_frontier"] = len(open_nodes)

@@ -61,9 +61,9 @@ class Scheduler:
         # crash points has len() == 0 and must still be honoured.
         self.crash_plan = (CrashPlan.none() if crash_plan is None
                            else crash_plan)
-        # Every run builds a fresh Scheduler (run(), the explorers'
-        # manual drives, the DPOR _System), so resetting here guarantees
-        # a plan object shared across runs starts each run pristine.
+        # Every run builds a fresh Scheduler (run(), or the explorers'
+        # dpor._System), so resetting here guarantees a plan object
+        # shared across runs starts each run pristine.
         reset = getattr(self.crash_plan, "reset", None)
         if reset is not None:
             reset()

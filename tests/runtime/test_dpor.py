@@ -11,12 +11,14 @@ ground truth.
 
 import pytest
 
+from repro.analysis.metrics import ExplorationMetrics
 from repro.memory import ObjectStore
 from repro.memory.registers import AtomicRegister, RegisterArray
 from repro.runtime import (CounterexampleFound, CrashPlan, ObjectProxy,
                            explore, explore_dpor, replay_schedule,
                            shrink_schedule)
 from repro.runtime.ops import (EMPTY_FOOTPRINT, WHOLE, Footprint, conflicts)
+from repro.scenarios import check_scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,46 @@ class TestDporMatchesNaive:
         build = _build_independent_writers()
         with pytest.raises(ValueError, match="unknown reduction"):
             explore(build, lambda r: None, reduction="magic")
+
+
+# ---------------------------------------------------------------------------
+# naive run counts on the scenario registry
+# ---------------------------------------------------------------------------
+
+#: (scenario, n, (complete, truncated, max depth)) of naive exploration:
+#: DPOR's ground truth, pinned so a drift in the naive engine shows.
+NAIVE_PINS = [
+    ("safe-agreement", 2, (98, 0, 9)),
+    ("adopt-commit", 2, (70, 0, 8)),
+    ("x-safe-agreement", 2, (16, 0, 7)),
+    ("queue-2cons", 2, (6, 0, 5)),
+    pytest.param("x-safe-agreement", 3, (30_328, 0, 14),
+                 marks=pytest.mark.exhaustive),
+]
+
+
+def _naive_stats(name, n, metrics=None):
+    sc = check_scenarios(n=n)[name]
+    return explore(sc.build, sc.check,
+                   crash_plan_factory=sc.crash_plan_factory,
+                   max_steps=sc.max_steps, reduction="naive",
+                   metrics=metrics)
+
+
+class TestNaivePins:
+    @pytest.mark.parametrize("name,n,expected", NAIVE_PINS)
+    def test_run_counts(self, name, n, expected):
+        stats = _naive_stats(name, n)
+        assert (stats.complete_runs, stats.truncated_runs,
+                stats.max_depth_seen) == expected
+
+    def test_peak_frontier(self):
+        # Prefixes pushed but not yet visited, at their most.
+        metrics = ExplorationMetrics(scenario="safe-agreement",
+                                     engine="naive")
+        _naive_stats("safe-agreement", 2, metrics)
+        assert metrics.peak_frontier_size == 6
+        assert metrics.complete_runs == 98
 
 
 # ---------------------------------------------------------------------------
