@@ -16,6 +16,11 @@ measures exactly how much, on jobs-sharded DPOR exploration of
 Both must return bit-for-bit identical statistics -- the transport may
 cost time, never coverage (the ``network`` differential tier enforces
 this on every scenario; the bench just prices it).
+
+The socket time includes joining the worker threads, which exit on the
+server's ``done``.  Those threads share one interpreter lock, while the
+fork pool's workers are processes, so most of the ratio that remains is
+the lock, not the transport (``worker --jobs N`` runs processes).
 """
 
 import threading

@@ -47,7 +47,7 @@ Commands:
   ``check`` (see docs/distributed_exploration.md).  Exit codes mirror
   ``check``.
 * ``worker``        -- join a shard server (``--connect HOST:PORT``)
-  with ``--jobs`` worker sessions; exit 0 when the run ends (even if
+  with ``--jobs`` worker processes; exit 0 when the run ends (even if
   the coordinator vanishes mid-run), 2 if it was never reachable.
 * ``demo``          -- a one-minute tour (runs the quickstart scenario).
 """
@@ -782,19 +782,36 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    """Join a shard server as a remote worker (``--jobs`` threads).
-
-    Each thread is an independent :class:`~repro.runtime.netshard.
-    ShardWorker` session: it connects with jittered backoff, rebuilds
-    the announced scenario by name, and serves shards until the
-    coordinator finishes.  Exit 0 when the run ended normally (even if
-    the coordinator vanished mid-run -- a worker is expendable by
-    design); exit 2 only when the server was never reachable.
-    """
-    import threading
-
+def _worker_session(spec: dict) -> dict:
+    """Run one :class:`~repro.runtime.netshard.ShardWorker` session to
+    its end; returns a picklable summary (``cmd_worker``'s unit)."""
     from .runtime.netshard import ShardWorker, WorkerUnavailable
+
+    worker = ShardWorker(**spec)
+    try:
+        worker.run()
+    except WorkerUnavailable as exc:
+        return {"completed": 0, "retries": 0, "reconnects": 0,
+                "stopped": "unreachable", "error": str(exc)}
+    return {"completed": worker.shards_completed,
+            "retries": worker.tallies["retries"],
+            "reconnects": worker.tallies["reconnects"],
+            "stopped": worker.stopped}
+
+
+def cmd_worker(args: argparse.Namespace) -> int:
+    """Join a shard server as a remote worker (``--jobs`` processes).
+
+    Each session is an independent :class:`~repro.runtime.netshard.
+    ShardWorker` in its own process (``--jobs 1`` runs it in this
+    one): shards are CPU-bound, so threads would serialise on the GIL.
+    A session connects with jittered backoff, rebuilds the announced
+    scenario by name, and serves shards until the coordinator says
+    ``done``.  Exit 0 when the run ended (even if the coordinator
+    vanished mid-run -- a worker is expendable by design); exit 2 only
+    when the server was never reachable.
+    """
+    from collections import Counter
 
     connect, connect_error = _parse_hostport(args.connect, "--connect")
     if connect_error is not None:
@@ -805,38 +822,29 @@ def cmd_worker(args: argparse.Namespace) -> int:
         print(f"worker: {jobs_error}", file=sys.stderr)
         return 2
 
-    workers = []
-    for i in range(jobs):
-        suffix = f"-{i}" if jobs > 1 else ""
-        workers.append(ShardWorker(
-            connect[0], connect[1],
-            name=f"{args.name}{suffix}" if args.name else None,
-            rpc_timeout=args.rpc_timeout,
-            connect_attempts=args.connect_attempts))
-    results: dict = {}
-
-    def serve_one(worker) -> None:
-        try:
-            results[worker.name] = worker.run()
-        except WorkerUnavailable as exc:
-            results[worker.name] = exc
-
-    threads = [threading.Thread(target=serve_one, args=(w,))
-               for w in workers]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    unreachable = [r for r in results.values()
-                   if isinstance(r, WorkerUnavailable)]
-    completed = sum(r for r in results.values() if isinstance(r, int))
-    retries = sum(w.tallies["retries"] for w in workers)
-    reconnects = sum(w.tallies["reconnects"] for w in workers)
+    specs = [{"host": connect[0], "port": connect[1],
+              "name": (f"{args.name}-{i}" if jobs > 1 else args.name)
+              if args.name else None,
+              "rpc_timeout": args.rpc_timeout,
+              "connect_attempts": args.connect_attempts}
+             for i in range(jobs)]
+    if jobs == 1:
+        summaries = [_worker_session(specs[0])]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(jobs) as pool:
+            summaries = list(pool.map(_worker_session, specs))
+    completed = sum(s["completed"] for s in summaries)
+    retries = sum(s["retries"] for s in summaries)
+    reconnects = sum(s["reconnects"] for s in summaries)
+    stopped = Counter(s["stopped"] for s in summaries)
     print(f"[worker] {completed} shard(s) completed across {jobs} "
           f"session(s), {retries} RPC retr(ies), "
-          f"{reconnects} reconnect(s)")
-    if unreachable and len(unreachable) == len(workers):
-        print(f"worker: {unreachable[0]}", file=sys.stderr)
+          f"{reconnects} reconnect(s); stopped on "
+          + ", ".join(f"{reason} ({count})"
+                      for reason, count in sorted(stopped.items())))
+    if stopped["unreachable"] == len(summaries):
+        print(f"worker: {summaries[0]['error']}", file=sys.stderr)
         return 2
     return 0
 
@@ -1097,7 +1105,7 @@ def main(argv=None) -> int:
                    help="shard server address (from '[serve] listening "
                         "on HOST:PORT')")
     p.add_argument("--jobs", default=None, metavar="N",
-                   help="worker sessions to run in this process "
+                   help="worker sessions, one process each "
                         "('auto' = cpu count; default 1)")
     p.add_argument("--name", default=None,
                    help="stable worker name prefix (reconnections "

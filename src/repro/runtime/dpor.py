@@ -62,7 +62,7 @@ plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Generator, List, Optional,
                     Sequence, Set, Tuple)
 

@@ -54,7 +54,7 @@ import selectors
 import socket
 import threading
 from collections import deque
-from time import monotonic
+from time import monotonic, perf_counter
 from time import sleep as _real_sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -83,8 +83,17 @@ CONNECT_BACKOFF_CAP = 2.0
 #: the server is gone.  Module-level so tests can shrink it.
 RPC_ATTEMPTS = 6
 
-#: Seconds a worker sleeps after an ``idle`` reply before re-requesting.
+#: Seconds the server holds a ``request`` it cannot grant yet before
+#: answering ``idle``, unless the request states its own ``wait``.  A
+#: held request is answered at once when a shard frees up or the run
+#: ends; the worker re-requests as soon as it gets ``idle``, so idle
+#: pacing is the server's.
 _IDLE_WAIT = 0.2
+
+#: Upper bound (seconds) on the server's linger after the last shard
+#: settles: it keeps serving until every live connection has been sent
+#: ``done``, so workers exit at once instead of walking their backoff.
+_LINGER = 1.0
 
 _WORKER_SEQ = itertools.count()
 
@@ -96,8 +105,8 @@ class WorkerUnavailable(RuntimeError):
 class ServerGone(RuntimeError):
     """A worker's server stopped answering after it had been connected.
 
-    Usually benign: the exploration finished (or the coordinator was
-    killed) while this worker was between RPCs.
+    A clean run ends with ``done`` instead, so this means abnormal loss:
+    the coordinator was killed, or its ``done`` never arrived.
     """
 
 
@@ -149,15 +158,20 @@ class _Session:
 
 
 class _ConnState:
-    """Per-TCP-connection receive buffer and its bound session."""
+    """Per-TCP-connection receive buffer, bound session, held request."""
 
-    __slots__ = ("conn", "buffer", "session", "last_progress")
+    __slots__ = ("conn", "buffer", "session", "last_progress", "held",
+                 "held_until", "done_sent")
 
     def __init__(self, conn: socket.socket) -> None:
         self.conn = conn
         self.buffer = bytearray()
         self.session: Optional[_Session] = None
         self.last_progress = monotonic()
+        #: A ``request`` the core answered ``idle``, not yet replied to.
+        self.held: Optional[Dict[str, Any]] = None
+        self.held_until = 0.0
+        self.done_sent = False
 
 
 class ShardServer:
@@ -419,7 +433,6 @@ class ShardServer:
                 continue
             if self._on_grant is not None:
                 self._on_grant(idx, -1)
-            from time import perf_counter
             start = perf_counter()
             try:
                 outcome: Tuple[Any, Optional[str]] = \
@@ -487,14 +500,17 @@ class ShardServer:
                 # sleeping _POLL_INTERVAL between shards, while a
                 # connecting worker is still noticed every iteration.
                 wait = 0.0 if ran_inprocess else _POLL_INTERVAL
-                for key, _ in selector.select(timeout=wait):
-                    if key.fileobj is listener:
-                        self._accept(listener, selector, conns)
-                    else:
-                        self._service(key.fileobj, selector, conns)
-                self.tick()
-                self._sweep_stalled(selector, conns)
-                ran_inprocess = self._maybe_solo(start)
+                ran_inprocess = self._step(wait, start, listener, selector,
+                                           conns)
+            # Linger: every held request is answered ``done`` by the
+            # step; keep serving until each live connection has been
+            # told, so workers exit now rather than by backoff.
+            until = monotonic() + _LINGER
+            if deadline is not None:
+                until = min(until, deadline)
+            while monotonic() < until and not all(
+                    state.done_sent for state in conns.values()):
+                self._step(_POLL_INTERVAL, start, listener, selector, conns)
         finally:
             for state in list(conns.values()):
                 self._drop_conn(state, selector, conns)
@@ -506,6 +522,47 @@ class ShardServer:
             selector.close()
             self._collect_worker_tallies()
         return [outcome for outcome in self._outcomes]
+
+    def _step(self, wait: float, start: float, listener: socket.socket,
+              selector, conns) -> bool:
+        """One pass of the serving loop (main loop and linger alike).
+
+        Services ready sockets, sweeps leases and stalled peers, runs a
+        shard in-process if the ladder says so, then re-asks the core
+        for every held request.  Returns True when a shard ran here.
+        """
+        for key, _ in selector.select(timeout=wait):
+            if key.fileobj is listener:
+                self._accept(listener, selector, conns)
+            else:
+                self._service(key.fileobj, selector, conns)
+        self.tick()
+        self._sweep_stalled(selector, conns)
+        ran_inprocess = self._maybe_solo(start)
+        for state in list(conns.values()):
+            if state.held is not None:
+                self._answer_held(state, selector, conns)
+        return ran_inprocess
+
+    def _answer_held(self, state: _ConnState, selector, conns,
+                     force: bool = False) -> bool:
+        """Re-ask the core for a held request and reply if it is time.
+
+        ``grant`` and ``done`` go out at once; ``idle`` only once the
+        hold has run out, or when ``force`` (another frame arrived
+        behind it, and replies must keep their order).  Returns False
+        when the connection dropped.
+        """
+        assert state.held is not None
+        reply = self.handle_message(state.held)
+        if reply.get("type") == "idle" and not force and \
+                monotonic() < state.held_until:
+            return True
+        state.held = None
+        if self._reply(state, reply):
+            return True
+        self._drop_conn(state, selector, conns)
+        return False
 
     def _accept(self, listener: socket.socket, selector, conns) -> None:
         try:
@@ -550,6 +607,9 @@ class ShardServer:
             body, consumed = decoded
             del state.buffer[:consumed]
             self.tallies["frames_in"] += 1
+            if state.held is not None and not self._answer_held(
+                    state, selector, conns, force=True):
+                return
             reply = self.handle_message(body)
             if body.get("type") == "hello" and reply.get("type") == \
                     "welcome":
@@ -565,6 +625,17 @@ class ShardServer:
                 state.session = session
             if state.session is not None:
                 state.session.frames_in += 1
+            if body.get("type") == "request" and reply.get("type") == \
+                    "idle":
+                # Hold it: the step answers as soon as a shard frees up
+                # or the run ends, and with ``idle`` once the request's
+                # own ``wait`` (default _IDLE_WAIT) has passed.
+                wait = body.get("wait")
+                if not isinstance(wait, (int, float)) or wait < 0:
+                    wait = _IDLE_WAIT
+                state.held = body
+                state.held_until = monotonic() + wait
+                continue
             if not self._reply(state, reply):
                 self._drop_conn(state, selector, conns)
                 return
@@ -578,6 +649,8 @@ class ShardServer:
         self.tallies["frames_out"] += 1
         if state.session is not None:
             state.session.frames_out += 1
+        if body.get("type") == "done":
+            state.done_sent = True
         return True
 
     def _drop_conn(self, state: _ConnState, selector, conns) -> None:
@@ -643,14 +716,16 @@ class ShardWorker:
 
     Connects with deterministic-jitter backoff, identifies itself by a
     stable name, then loops request -> execute -> complete until the
-    server says ``done`` (or vanishes after we were connected, which
-    means the run ended without us).  While a shard executes, a
-    heartbeat thread renews its lease; a heartbeat answered with
-    ``renewed: false`` means the lease was re-granted elsewhere and the
-    worker *abandons* the shard -- its result would be rejected as
-    stale anyway.  Any transport failure mid-RPC reconnects (the
-    server re-recognizes the name and keeps the worker id) and retries
-    up to :data:`RPC_ATTEMPTS` times.
+    server says ``done`` (or vanishes after we were connected: the
+    backoff ladder runs out and :class:`ServerGone` ends the loop).  An
+    ``idle`` reply is re-requested at once -- the server holds a request
+    it cannot grant yet for up to half our ``rpc_timeout``, so it paces
+    idling.  While a shard executes, a heartbeat thread renews its
+    lease; a heartbeat answered with ``renewed: false`` means the lease
+    was re-granted elsewhere and the worker *abandons* the shard -- its
+    result would be rejected as stale anyway.  Any transport failure
+    mid-RPC reconnects (the server re-recognizes the name and keeps the
+    worker id) and retries up to :data:`RPC_ATTEMPTS` times.
 
     Scenario code is rebuilt locally from the server's ``welcome``
     config via :class:`repro.scenarios.ScenarioRef` -- workers on
@@ -684,6 +759,10 @@ class ShardWorker:
         self._resolved = None
         self.ever_connected = False
         self.shards_completed = 0
+        #: Why :meth:`run` returned: ``"done"`` (clean end of run),
+        #: ``"server gone"`` (backoff ladder exhausted) or an unexpected
+        #: reply; None while running.
+        self.stopped: Optional[str] = None
         #: Client-side transport tallies (mirrors the server's).
         self.tallies: Dict[str, int] = {
             "frames_out": 0, "frames_in": 0, "retries": 0,
@@ -850,28 +929,29 @@ class ShardWorker:
         """Serve until the coordinator finishes; returns shards done.
 
         Raises :class:`WorkerUnavailable` only when the server was
-        *never* reachable; a server that disappears after we joined is
-        a normal end of run.
+        *never* reachable; a server that disappears after we joined
+        ends the run too.  :attr:`stopped` records which way it ended.
         """
         with self._lock:
             self._connect()
-        idle_spins = 0
         try:
             while True:
-                reply = self._rpc({"type": "request"})
+                # The server may hold the request up to ``wait`` before
+                # ``idle``: half our deadline leaves room for the reply.
+                reply = self._rpc({"type": "request",
+                                   "wait": self.rpc_timeout / 2})
                 kind = reply.get("type")
                 if kind == "grant":
-                    idle_spins = 0
                     self._execute(reply)
-                elif kind == "idle":
-                    self._sleep(min(_IDLE_WAIT * (idle_spins + 1), 1.0))
-                    idle_spins += 1
-                elif kind == "done":
+                elif kind != "idle":
+                    # ``done``, or vocabulary of a future server: stop.
+                    # ``idle`` re-requests at once; the server paces it.
+                    self.stopped = "done" if kind == "done" else \
+                        f"unexpected {kind!r} reply"
                     break
-                else:
-                    break  # unknown vocabulary: future server, give up
         except ServerGone:
-            pass  # run over (or coordinator died); either way, stop
+            # Run over without a ``done`` (or coordinator died).
+            self.stopped = "server gone"
         finally:
             self._close()
         return self.shards_completed

@@ -42,7 +42,6 @@ import pickle
 from typing import (Any, Callable, Dict, Generator, List, Optional,
                     Sequence, Tuple, Union)
 
-from .crash import CrashPlan
 from .dpor import (Counterexample, CounterexampleFound, _explore_core,
                    _System, replay_schedule, shrink_schedule)
 from .explore import (ExplorationInterrupted, ExplorationStats,

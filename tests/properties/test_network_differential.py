@@ -9,12 +9,16 @@ every registry scenario -- identical ``ExplorationStats`` and identical
 :class:`ShardWorker` sessions -- and then keep pinning it while a
 :class:`ChaosProxy` mangles the frame stream, a worker process is
 SIGKILLed mid-run, and the coordinator itself is killed -9 and resumed
-via ``check --resume``.  Run just this tier with ``pytest -m network``.
+via ``check --resume``.  It also pins how a run ends: workers exit on
+the server's ``done`` (a request the server cannot grant yet is held,
+not bounced), and only a lost ``done`` leaves them to the backoff
+ladder.  Run just this tier with ``pytest -m network``.
 """
 
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -25,8 +29,9 @@ import pytest
 import repro
 from repro.__main__ import main
 from repro.analysis.metrics import ExplorationMetrics, deterministic_view
-from repro.runtime import CounterexampleFound, explore
-from repro.runtime.frontier import KILL_AFTER_ENV
+from repro.runtime import CounterexampleFound, explore, wire
+from repro.runtime.explore import ExplorationStats
+from repro.runtime.frontier import KILL_AFTER_ENV, stats_to_dict
 from repro.runtime.netshard import ChaosProxy, ShardServer, ShardWorker
 from repro.runtime.parallel import explore_parallel
 from repro.scenarios import SOUND_SCENARIOS, ScenarioRef, check_scenarios
@@ -344,3 +349,182 @@ class TestProcessDeath:
         with open(ref_out) as handle:
             (reference,) = [json.loads(line) for line in handle]
         assert deterministic_view(record) == deterministic_view(reference)
+
+
+class _RawClient:
+    """A hand-driven worker connection: one frame out, one frame in."""
+
+    def __init__(self, address, name):
+        self.sock = socket.create_connection(address, timeout=10.0)
+        self.worker_id = None
+        self.worker_id = self.rpc({"type": "hello",
+                                   "worker": name})["worker_id"]
+
+    def rpc(self, body):
+        deadline = time.monotonic() + 10.0
+        wire.send_frame(self.sock, dict(body, worker_id=self.worker_id),
+                        deadline=deadline)
+        return wire.recv_frame(self.sock, deadline=deadline)
+
+    def close(self):
+        self.sock.close()
+
+
+def _wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _serve_synthetic(server):
+    """Run ``server`` over one synthetic payload in a thread; returns
+    (thread, outcome box) once the socket is listening."""
+    box = {}
+
+    def coordinate():
+        box["outcomes"] = server(
+            [((0,), frozenset())], lambda payload: (ExplorationStats(), {}))
+
+    thread = threading.Thread(target=coordinate, daemon=True)
+    thread.start()
+    _wait_for(lambda: server.port)
+    return thread, box
+
+
+def _completion(shard, runs):
+    return {"type": "complete", "shard": shard,
+            "stats": stats_to_dict(ExplorationStats(complete_runs=runs)),
+            "counters": {}}
+
+
+class TestCleanShutdown:
+    """A clean run ends with ``done``; the backoff ladder is kept for
+    abnormal loss only."""
+
+    def test_workers_exit_on_done_within_a_second_of_the_verdict(self):
+        name = "x-safe-agreement"
+        sc = _scenario(name)
+        serial = _serial(sc)
+        run = _SocketRun(name, sc)
+        assert run.wait_bound()
+        workers = [run.attach_worker(f"clean-w{i}") for i in range(2)]
+        run._coord.join(timeout=180.0)
+        verdict = time.monotonic()
+        for _worker, thread in run._workers:
+            thread.join(timeout=max(0.0, verdict + 1.0 - time.monotonic()))
+            assert not thread.is_alive(), \
+                "a worker outlived the verdict by more than 1 s"
+        assert run.finish() == serial
+        for worker in workers:
+            assert worker.stopped == "done"
+            assert worker.tallies["retries"] == 0, worker.tallies
+        assert sum(w.shards_completed for w in workers) == \
+            run.server.tallies["remote_shards"] > 0
+
+    def test_undelivered_done_still_ends_through_the_ladder(self):
+        """When ``done`` never reaches a worker, the linger runs out,
+        the server closes, and the worker's reconnect ladder ends it."""
+        name = "adopt-commit"
+        sc = _scenario(name)
+        serial = _serial(sc)
+        run = _SocketRun(name, sc)
+        send = run.server._reply
+
+        def swallow_done(state, body):
+            if body.get("type") == "done":
+                return True  # "sent", never delivered
+            return send(state, body)
+
+        run.server._reply = swallow_done
+        naps = {}
+        workers = []
+        for i in range(2):
+            naps[i] = []
+            workers.append(run.attach_worker(
+                f"lost-w{i}", sleep=naps[i].append, connect_attempts=3))
+        assert run.finish() == serial
+        for i, worker in enumerate(workers):
+            assert worker.stopped == "server gone"
+            assert worker.tallies["retries"] >= 1
+            assert len(naps[i]) == 2, "the ladder was not walked"
+
+    def test_idle_worker_gets_done_while_its_request_is_held(self):
+        """One long shard leaves the other worker idle: its single
+        request is held and answered ``done`` when the shard settles
+        -- no idle reply, no sleep, no re-request."""
+        server = ShardServer(config={"scenario": "adopt-commit"},
+                             solo_after=60.0)
+        thread, box = _serve_synthetic(server)
+        holder = _RawClient((server.host, server.port), "long")
+        assert holder.rpc({"type": "request"})["type"] == "grant"
+        naps = []
+        idle = ShardWorker(server.host, server.port, name="idle",
+                           sleep=naps.append)
+        idler = threading.Thread(target=idle.run, daemon=True)
+        idler.start()
+        # Both hellos and both requests are in: the idle one is held.
+        _wait_for(lambda: server.tallies["frames_in"] >= 4)
+        time.sleep(0.3)  # the long shard outlasts the default hold
+        assert holder.rpc(_completion(0, 7))["accepted"]
+        settled = time.monotonic()
+        idler.join(timeout=5.0)
+        assert not idler.is_alive()
+        assert time.monotonic() - settled < 1.0
+        assert idle.stopped == "done"
+        assert idle.tallies["frames_out"] == 2, idle.tallies  # hello, request
+        assert naps == []
+        assert holder.rpc({"type": "request"})["type"] == "done"
+        holder.close()
+        thread.join(timeout=10.0)
+        assert box["outcomes"][0][0][0].complete_runs == 7
+
+    def test_regranted_shard_goes_to_a_held_request_at_once(self):
+        """A lapsed lease is re-granted to the request already held,
+        in the loop pass that notices the expiry."""
+        server = ShardServer(config={"scenario": "adopt-commit"},
+                             lease_timeout=0.5, solo_after=60.0)
+        thread, box = _serve_synthetic(server)
+        silent = _RawClient((server.host, server.port), "silent")
+        assert silent.rpc({"type": "request"})["shard"] == 0
+        granted = time.monotonic()
+        waiter = _RawClient((server.host, server.port), "waiter")
+        reply = waiter.rpc({"type": "request", "wait": 30.0})
+        waited = time.monotonic() - granted
+        assert reply["type"] == "grant" and reply["shard"] == 0, reply
+        assert 0.5 <= waited < 5.0, waited
+        assert server.tallies["regrants"] == 1
+        assert waiter.rpc(_completion(0, 3))["accepted"]
+        for client in (waiter, silent):
+            assert client.rpc({"type": "request"})["type"] == "done"
+            client.close()
+        thread.join(timeout=10.0)
+        assert box["outcomes"][0][0][0].complete_runs == 3
+
+
+class TestWorkerProcesses:
+    def test_worker_jobs_two_runs_two_sessions_that_both_serve(self):
+        """``worker --jobs 2`` runs two sessions (one process each)
+        against a live server; both complete shards and the exit line
+        sums them."""
+        name = "x-safe-agreement"
+        n = 4
+        sc = check_scenarios(n=n)[name]
+        serial = _serial(sc)
+        run = _SocketRun(name, sc, n=n)
+        host, port = run.address
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "worker", "--connect",
+             f"{host}:{port}", "--jobs", "2", "--name", "cli"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (proc.stdout, proc.stderr)
+        assert run.finish() == serial
+        sessions = {row["name"]: row["shards"]
+                    for row in run.server.tallies["workers"]}
+        assert set(sessions) == {"cli-0", "cli-1"}
+        assert all(shards > 0 for shards in sessions.values()), sessions
+        assert (f"{sum(sessions.values())} shard(s) completed across "
+                f"2 session(s), 0 RPC retr(ies)") in proc.stdout
+        assert "stopped on done (2)" in proc.stdout
