@@ -9,24 +9,26 @@ measures exactly how much, on jobs-sharded DPOR exploration of
 
 * **fork**   -- the baseline ``explore_parallel`` fork pool (jobs=2);
 * **socket** -- the same exploration served by a :class:`ShardServer`
-  to two in-process :class:`ShardWorker` threads over real sockets
-  on loopback (every grant, heartbeat, and completion is a framed
+  to two ``python -m repro worker`` processes over real sockets on
+  loopback (every grant, heartbeat, and completion is a framed
   round-trip).
 
 Both must return bit-for-bit identical statistics -- the transport may
 cost time, never coverage (the ``network`` differential tier enforces
 this on every scenario; the bench just prices it).
 
-The socket time includes joining the worker threads, which exit on the
-server's ``done``.  Those threads share one interpreter lock, while the
-fork pool's workers are processes, so most of the ratio that remains is
-the lock, not the transport (``worker --jobs N`` runs processes).
+Both sides run their shards in two worker processes.  The socket time
+also covers starting the two worker interpreters and waiting for them
+to exit on the server's ``done``, since a ``serve`` run pays both.
 """
 
-import threading
+import os
+import subprocess
+import sys
 import time
 
-from repro.runtime.netshard import ShardServer, ShardWorker
+import repro
+from repro.runtime.netshard import ShardServer
 from repro.runtime.parallel import explore_parallel
 from repro.scenarios import ScenarioRef, check_scenarios
 
@@ -34,7 +36,8 @@ from .harness import header, write_report
 
 N = 4
 WORKERS = 2
-REPEATS = 2
+REPEATS = 3
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def _scenario():
@@ -50,49 +53,39 @@ def _fork_explore(jobs=WORKERS):
 
 
 def _socket_explore():
-    """One exploration through the TCP shard service on loopback."""
+    """One exploration through the TCP shard service on loopback, its
+    shards run by ``WORKERS`` fresh ``python -m repro worker``
+    processes."""
     sc = _scenario()
     config = {"scenario": "x-safe-agreement", "n": N, "x": 2,
               "max_steps": sc.max_steps, "max_runs": sc.max_runs,
               "reduction": "dpor", "state_cache": True}
-    ready = threading.Event()
-    addr = {}
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    procs = []
 
-    def announce(host, port):
-        addr["bound"] = (host, port)
-        ready.set()
+    def spawn(host, port):
+        for i in range(WORKERS):
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker", "--connect",
+                 f"{host}:{port}", "--name", f"bench-w{i}"],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True))
 
-    server = ShardServer(config=config, solo_after=60.0,
-                         announce=announce)
-    box = {}
-
-    def coordinate():
-        try:
-            box["stats"] = explore_parallel(
-                sc.build, sc.check,
-                crash_plan_factory=sc.crash_plan_factory,
-                max_steps=sc.max_steps, max_runs=sc.max_runs, jobs=1,
-                scenario=ScenarioRef("x-safe-agreement", n=N),
-                pool=server)
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            box["error"] = exc
-
-    coord = threading.Thread(target=coordinate, daemon=True)
-    coord.start()
-    assert ready.wait(10.0), "shard server never bound"
-    host, port = addr["bound"]
-    threads = []
-    for i in range(WORKERS):
-        worker = ShardWorker(host, port, name=f"bench-w{i}")
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        threads.append(thread)
-    coord.join(timeout=600)
-    for thread in threads:
-        thread.join(timeout=30)
-    if "error" in box:
-        raise box["error"]
-    return box["stats"], server.tallies
+    server = ShardServer(config=config, solo_after=60.0, announce=spawn)
+    try:
+        stats = explore_parallel(
+            sc.build, sc.check, crash_plan_factory=sc.crash_plan_factory,
+            max_steps=sc.max_steps, max_runs=sc.max_runs, jobs=1,
+            scenario=ScenarioRef("x-safe-agreement", n=N), pool=server)
+        for proc in procs:
+            _out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    return stats, server.tallies
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -116,7 +109,7 @@ def test_network_overhead_report():
         f"Socket-transport overhead ({N}-process x-safe-agreement, "
         f"x=2, {WORKERS} workers)",
         "fork = explore_parallel fork pool; socket = ShardServer + "
-        "in-process ShardWorkers over loopback TCP")
+        "`python -m repro worker` processes over loopback TCP")
     lines.append(f"{'variant':<8} {'runs':>6} "
                  f"{'best-of-%d (s)' % REPEATS:>14} {'vs fork':>9}")
     for label, stats, seconds in (("fork", fork_stats, t_fork),

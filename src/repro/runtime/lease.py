@@ -1,21 +1,22 @@
 """Shard leases: time-bounded grants with heartbeat renewal.
 
-The worker pool (:mod:`repro.runtime.parallel`) hands each frontier
-shard to exactly one worker at a time.  A worker that dies is observed
-immediately (EOF on its private result pipe), but a worker that merely
-*wedges* -- SIGSTOPped, swapped out forever, stuck in a kernel call --
-produces no EOF and would hold its shard hostage for the rest of the
-run.  Leases close that gap: every grant carries an expiry instant,
+The lease pool (:class:`repro.runtime.parallel.LeasePool`) hands each
+frontier shard to exactly one worker at a time.  A worker that dies is
+observed immediately (EOF on its private result pipe), but a worker
+that merely *wedges* -- SIGSTOPped, swapped out forever, stuck in a
+kernel call -- produces no EOF and would hold its shard hostage for
+the rest of the run.  Leases close that gap: every grant carries an expiry instant,
 workers renew it with periodic heartbeats while they execute, and the
 coordinator re-grants any shard whose lease lapses.  Re-granting is
 sound for the same reason SIGKILL recovery always was: shards are
-deterministic, so executing one twice yields the same outcome and the
-coordinator keeps only the first result per shard.
+deterministic, so executing one twice yields the same outcome, and the
+coordinator keeps only the result of the shard's current holder.
 
-This is deliberately the shape a *distributed* work queue needs
-(grant + heartbeat + expiry + re-grant), kept free of any process or
-pipe machinery so a future multi-machine coordinator can reuse it
-unchanged; only the transport that carries heartbeats is pool-specific.
+This is the shape a *distributed* work queue needs (grant + heartbeat
++ expiry + re-grant), kept free of any process, pipe or socket
+machinery: the fork pool and the TCP shard service
+(:mod:`repro.runtime.netshard`) both reach it through ``LeasePool``,
+and only the transport that carries heartbeats differs.
 
 Clocks are ``time.monotonic`` throughout (never wall time, which can
 step backwards under NTP).  All methods take an optional explicit
@@ -103,6 +104,13 @@ class LeaseTable:
         """The worker currently holding ``shard``, if any."""
         lease = self._leases.get(shard)
         return lease.worker if lease is not None else None
+
+    def held_by(self, worker: int) -> Optional[int]:
+        """The shard ``worker`` holds, if any (a worker holds at most one)."""
+        for lease in self._leases.values():
+            if lease.worker == worker:
+                return lease.shard
+        return None
 
     def expired(self, now: Optional[float] = None) -> List[Lease]:
         """Leases past their expiry, in shard order (deterministic)."""

@@ -1,16 +1,15 @@
 """Multi-machine shard service: the lease protocol over TCP sockets.
 
-PR 9 split exploration into a transport-free coordinator/worker pair:
-:class:`~repro.runtime.lease.LeaseTable` tracks who owns which frontier
-shard, heartbeats renew the grants, and lapsed leases are re-granted.
-This module is the promised network transport for that protocol -- a
-coordinator-side :class:`ShardServer` and a remote-machine
-:class:`ShardWorker` speaking grant/heartbeat/complete/steal over the
-length-prefixed, checksummed frames of :mod:`repro.runtime.wire` --
-with **robustness as the headline**, in the spirit of the source
-paper's BG discipline (a slow or crashed simulator must never block
-the simulation) and of the Imbs-Raynal-Stainer reduction (treat the
-transport as an adversary, not a trusted friend):
+The lease protocol has one implementation,
+:class:`~repro.runtime.parallel.LeasePool`, and two transports: the
+fork pool and this module.  Here a coordinator-side :class:`ShardServer`
+(a ``LeasePool``) and a remote-machine :class:`ShardWorker` speak
+hello/request/heartbeat/complete over the checksummed frames of
+:mod:`repro.runtime.wire`, with **robustness as the headline**, in the
+spirit of the source paper's BG discipline (a slow or crashed
+simulator must never block the simulation) and of the
+Imbs-Raynal-Stainer reduction (treat the transport as an adversary,
+not a trusted friend):
 
 * every frame read/write carries a deadline (:mod:`wire <.wire>`);
 * workers connect and retry RPCs under capped exponential backoff with
@@ -21,9 +20,12 @@ transport as an adversary, not a trusted friend):
   survive the blip), and *abandons* a shard whose lease was re-granted
   meanwhile -- the stale-holder rejection of ``LeaseTable`` reused
   verbatim;
-* the coordinator degrades gracefully: a shard whose lease lapses is
-  re-granted up to the pool's ``_REGRANT_MAX`` ladder, and when all
-  remote workers vanish the coordinator executes orphaned shards
+* the server copies each RPC's ``seq`` into its reply and a worker
+  discards any other reply, so a duplicated frame cannot pose as the
+  answer to a later request;
+* the coordinator degrades by the core's rules: a lapsed lease is
+  re-granted up to ``_REGRANT_MAX`` times, and when every remote
+  worker has vanished or is presumed lost, pending shards run
   in-process, so remote-machine loss costs throughput, never coverage;
 * completions are accepted only from the shard's *current* lease
   holder -- a replayed or stale completion frame (a re-ordering
@@ -53,26 +55,22 @@ import os
 import selectors
 import socket
 import threading
-from collections import deque
-from time import monotonic, perf_counter
+from time import monotonic
 from time import sleep as _real_sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import wire
-from .explore import ExplorationInterrupted, ExplorationStats
+from .explore import ExplorationInterrupted
 from .frontier import stats_from_dict, stats_to_dict
-from .lease import (DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LEASE_TIMEOUT,
-                    LeaseTable)
-from .parallel import _REGRANT_MAX, execute_shard
+from .lease import DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LEASE_TIMEOUT
+from .parallel import (_POLL_INTERVAL, _REGRANT_MAX, LeasePool,
+                       execute_shard)
 
 #: Seconds the coordinator waits for a first worker before it starts
 #: executing shards in-process itself (solo mode).  Once any worker has
-#: connected, solo mode instead kicks in the moment *no* worker is
-#: connected -- all remotes vanished.  Module-level so tests tune it.
+#: connected, solo mode instead kicks in the moment no connected worker
+#: is left that is not presumed lost.
 DEFAULT_SOLO_AFTER = 5.0
-
-#: Seconds between selector wake-ups (lease sweep + solo-mode check).
-_POLL_INTERVAL = 0.05
 
 #: Client connect/RPC backoff ladder (seconds): base doubles per
 #: attempt up to the cap, then deterministic jitter is applied.
@@ -142,15 +140,13 @@ class _Session:
     survive the blip (``LeaseTable`` knows holders by id, not socket).
     """
 
-    __slots__ = ("name", "worker_id", "conn", "inflight", "frames_in",
-                 "frames_out", "reconnects", "shards")
+    __slots__ = ("name", "worker_id", "conn", "frames_in", "frames_out",
+                 "reconnects", "shards")
 
     def __init__(self, name: str, worker_id: int) -> None:
         self.name = name
         self.worker_id = worker_id
         self.conn: Optional[socket.socket] = None
-        #: Last granted, not-yet-settled shard (request idempotence).
-        self.inflight: Optional[int] = None
         self.frames_in = 0
         self.frames_out = 0
         self.reconnects = 0
@@ -174,7 +170,15 @@ class _ConnState:
         self.done_sent = False
 
 
-class ShardServer:
+def _paired(reply: Dict[str, Any], request: Dict[str, Any]
+            ) -> Dict[str, Any]:
+    """``reply`` tagged with ``request``'s ``seq`` when it carries one."""
+    if "seq" not in request:
+        return reply
+    return dict(reply, seq=request["seq"])
+
+
+class ShardServer(LeasePool):
     """Coordinator-side TCP shard service; a drop-in ``pool``.
 
     Construct it with transport/lease knobs, then pass the instance as
@@ -182,15 +186,11 @@ class ShardServer:
     standard pool signature binds a listening socket, serves frontier
     shards to any :class:`ShardWorker` that connects, and returns one
     outcome per payload exactly as :func:`~repro.runtime.parallel.
-    run_pool` would.  Leases, re-grants, first-settle-wins dedup and
-    the in-process fallback mirror the fork pool's semantics, so the
-    merged statistics are transport-independent.
-
-    The protocol core (:meth:`begin` / :meth:`handle_message` /
-    :meth:`tick` / :meth:`run_one_inprocess`) is transport-free and
-    driven directly by the unit tests and the
-    ``netshard-accept-stale-result`` mutant; only :meth:`__call__`
-    touches sockets.
+    run_pool` would, from the same :class:`~repro.runtime.parallel.
+    LeasePool` code.  This class adds the wire vocabulary
+    (:meth:`handle_message`, transport-free, driven directly by the
+    unit tests and the ``netshard-accept-stale-result`` mutant),
+    sessions keyed by worker name, and the socket loop.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -201,66 +201,29 @@ class ShardServer:
                  io_timeout: float = wire.DEFAULT_FRAME_TIMEOUT,
                  announce: Optional[Callable[[str, int], None]] = None
                  ) -> None:
+        super().__init__(lease_timeout=lease_timeout,
+                         regrant_max=regrant_max, solo_after=solo_after)
         self.host = host
         self.port = port
         #: Run configuration shipped to workers in the ``welcome`` frame
         #: (scenario name/sizing and engine knobs; see ``cmd_serve``).
         self.config = dict(config or {})
-        self.lease_timeout = lease_timeout
-        self.regrant_max = regrant_max
-        self.solo_after = solo_after
         self.io_timeout = io_timeout
         self._announce = announce
-        #: Transport observability (metrics v4): frame / reconnect /
-        #: retry tallies, never part of deterministic statistics.
-        self.tallies: Dict[str, Any] = {
+        #: Transport observability (metrics v4) around the core's.
+        self.tallies = {
             "frames_in": 0, "frames_out": 0, "connections": 0,
-            "reconnects": 0, "frame_errors": 0, "stale_rejections": 0,
-            "regrants": 0, "remote_shards": 0, "inprocess_shards": 0,
+            "reconnects": 0, "frame_errors": 0, **self.tallies,
             "workers": [],
         }
         self._sessions_by_name: Dict[str, _Session] = {}
         self._sessions_by_id: Dict[int, _Session] = {}
         self._next_worker_id = 0
-        self._ever_connected = False
-        self._begun = False
 
-    # -- protocol core (transport-free) ---------------------------------
+    def _now(self) -> float:
+        return monotonic()  # the socket loop's clock, for the core too
 
-    def begin(self, payloads: Sequence[Any],
-              runner: Callable[[Any], Any],
-              on_grant: Optional[Callable[[int, int], None]] = None,
-              on_settle: Optional[Callable[[int, Any], None]] = None,
-              task_log: Optional[List[Dict[str, Any]]] = None,
-              deadline: Optional[float] = None) -> None:
-        """Arm the server with one run's shards and callbacks."""
-        self._payloads = list(payloads)
-        self._runner = runner
-        self._on_grant = on_grant
-        self._on_settle = on_settle
-        self._task_log = task_log
-        self._deadline = deadline
-        n = len(self._payloads)
-        self._outcomes: List[Optional[Tuple[Any, Optional[str]]]] = \
-            [None] * n
-        self._completed: set = set()
-        self._pending: deque = deque(range(n))
-        #: Shards whose re-grant budget is exhausted: only the
-        #: coordinator may still execute them (the pool's ladder).
-        self._inproc_only: deque = deque()
-        self._leases = LeaseTable(timeout=self.lease_timeout)
-        self._regrants: Dict[int, int] = {}
-        self._begun = True
-
-    @property
-    def done(self) -> bool:
-        """Every shard settled?"""
-        return len(self._completed) >= len(self._payloads)
-
-    @property
-    def outcomes(self) -> List[Optional[Tuple[Any, Optional[str]]]]:
-        """Per-payload outcomes settled so far (None = still open)."""
-        return list(self._outcomes)
+    # -- wire vocabulary (transport-free) --------------------------------
 
     def handle_message(self, body: Dict[str, Any],
                        now: Optional[float] = None) -> Dict[str, Any]:
@@ -273,7 +236,7 @@ class ShardServer:
         down.
         """
         if now is None:
-            now = monotonic()
+            now = self._now()
         kind = body.get("type")
         if kind == "hello":
             return self._handle_hello(body)
@@ -282,12 +245,16 @@ class ShardServer:
             return {"type": "error",
                     "reason": "unknown worker_id (hello first)"}
         if kind == "request":
-            return self._handle_request(session, now)
+            shard = self.request(session.worker_id, now)
+            if shard is not None:
+                prefix, sleep = self._payloads[shard]
+                return {"type": "grant", "shard": shard,
+                        "prefix": list(prefix), "sleep": sorted(sleep)}
+            return {"type": "done"} if self.done else {"type": "idle"}
         if kind == "heartbeat":
             shard = body.get("shard")
             renewed = (isinstance(shard, int)
-                       and self._leases.renew(shard, session.worker_id,
-                                              now=now))
+                       and self.heartbeat(session.worker_id, shard, now))
             return {"type": "ok", "renewed": bool(renewed)}
         if kind == "complete":
             return self._handle_complete(session, body)
@@ -307,41 +274,8 @@ class ShardServer:
         else:
             session.reconnects += 1
             self.tallies["reconnects"] += 1
-        self._ever_connected = True
         return {"type": "welcome", "worker_id": session.worker_id,
                 "config": self.config}
-
-    def _handle_request(self, session: _Session,
-                        now: float) -> Dict[str, Any]:
-        # Request idempotence: a worker whose grant reply was lost asks
-        # again and gets the *same* shard back (lease renewed), instead
-        # of leaking a second lease onto a different shard.
-        if session.inflight is not None:
-            idx = session.inflight
-            if idx in self._completed:
-                session.inflight = None
-            elif self._leases.holder(idx) == session.worker_id:
-                self._leases.renew(idx, session.worker_id, now=now)
-                return self._grant_reply(idx)
-            else:
-                session.inflight = None  # lease lapsed and moved on
-        while self._pending:
-            idx = self._pending.popleft()
-            if idx in self._completed:
-                continue
-            self._leases.grant(idx, session.worker_id, now=now)
-            session.inflight = idx
-            if self._on_grant is not None:
-                self._on_grant(idx, session.worker_id)
-            return self._grant_reply(idx)
-        if self.done:
-            return {"type": "done"}
-        return {"type": "idle"}
-
-    def _grant_reply(self, idx: int) -> Dict[str, Any]:
-        prefix, sleep = self._payloads[idx]
-        return {"type": "grant", "shard": idx,
-                "prefix": list(prefix), "sleep": sorted(sleep)}
 
     def _handle_complete(self, session: _Session,
                          body: Dict[str, Any]) -> Dict[str, Any]:
@@ -349,20 +283,8 @@ class ShardServer:
         if not isinstance(shard, int) or not 0 <= shard < \
                 len(self._payloads):
             return {"type": "error", "reason": f"bad shard index {shard!r}"}
-        if session.inflight == shard:
-            session.inflight = None
         if body.get("error") is not None:
-            # A worker-reported execution failure: release the lease
-            # and route the shard to the coordinator's in-process
-            # fallback (a real scenario error will reproduce there and
-            # surface; a worker-environment fluke will not).
-            if self._leases.holder(shard) == session.worker_id:
-                self._leases.release(shard)
-                if shard not in self._completed:
-                    self._inproc_only.append(shard)
-            return {"type": "ok", "accepted": False}
-        if not self._accept_completion(shard, session.worker_id):
-            self.tallies["stale_rejections"] += 1
+            self.complete(session.worker_id, shard, (None, body["error"]))
             return {"type": "ok", "accepted": False}
         try:
             stats = stats_from_dict(body["stats"])
@@ -370,86 +292,11 @@ class ShardServer:
         except (KeyError, TypeError, ValueError) as exc:
             return {"type": "error",
                     "reason": f"undecodable completion stats: {exc}"}
-        session.shards += 1
-        self.tallies["remote_shards"] += 1
-        self._settle(shard, ((stats, counters), None))
-        return {"type": "ok", "accepted": True}
-
-    def _accept_completion(self, shard: int, worker_id: int) -> bool:
-        # Only the shard's *current* lease holder may complete it: a
-        # frame from an expired or superseded holder -- including one
-        # replayed by the network from a previous incarnation of the
-        # run -- is rejected, exactly as LeaseTable rejects a stale
-        # heartbeat.  The netshard-accept-stale-result mutant drops
-        # this check; the network differential tier catches it.
-        if shard in self._completed:
-            return False
-        return self._leases.holder(shard) == worker_id
-
-    def _settle(self, idx: int, outcome: Tuple[Any, Optional[str]]
-                ) -> None:
-        self._outcomes[idx] = outcome
-        self._completed.add(idx)
-        self._leases.release(idx)
-        for session in self._sessions_by_id.values():
-            if session.inflight == idx:
-                session.inflight = None
-        if self._on_settle is not None:
-            self._on_settle(idx, outcome)
-
-    def tick(self, now: Optional[float] = None) -> None:
-        """Sweep lapsed leases: re-grant or route to the fallback.
-
-        Mirrors the fork pool's ladder: a shard may lose its holder
-        ``regrant_max`` times before only the coordinator may run it.
-        """
-        if now is None:
-            now = monotonic()
-        for lease in self._leases.expired(now):
-            self._leases.release(lease.shard)
-            if lease.shard in self._completed:
-                continue
-            session = self._sessions_by_id.get(lease.worker)
-            if session is not None and session.inflight == lease.shard:
-                session.inflight = None
-            self._regrants[lease.shard] = \
-                self._regrants.get(lease.shard, 0) + 1
-            self.tallies["regrants"] += 1
-            if self._regrants[lease.shard] > self.regrant_max:
-                self._inproc_only.append(lease.shard)
-            else:
-                self._pending.appendleft(lease.shard)
-
-    def run_one_inprocess(self) -> bool:
-        """Execute one eligible shard in the coordinator process.
-
-        Regrant-exhausted shards first, then (in solo mode) ordinary
-        pending ones.  Returns False when nothing was eligible.
-        """
-        queue = self._inproc_only or self._pending
-        while queue:
-            idx = queue.popleft()
-            if idx in self._completed:
-                continue
-            if self._on_grant is not None:
-                self._on_grant(idx, -1)
-            start = perf_counter()
-            try:
-                outcome: Tuple[Any, Optional[str]] = \
-                    (self._runner(self._payloads[idx]), None)
-            except Exception as exc:  # noqa: BLE001 - surfaces in merge
-                outcome = (None, f"{type(exc).__name__}: {exc}")
-            if self._task_log is not None:
-                self._task_log.append({"index": idx, "worker": -1,
-                                       "seconds": perf_counter() - start})
-            self.tallies["inprocess_shards"] += 1
-            self._settle(idx, outcome)
-            return True
-        return False
-
-    def _live_sessions(self) -> int:
-        return sum(1 for s in self._sessions_by_id.values()
-                   if s.conn is not None)
+        accepted = self.complete(session.worker_id, shard,
+                                 ((stats, counters), None))
+        if accepted:
+            session.shards += 1
+        return {"type": "ok", "accepted": accepted}
 
     # -- socket loop ----------------------------------------------------
 
@@ -488,7 +335,6 @@ class ShardServer:
             selector.register(listener, selectors.EVENT_READ, None)
             if self._announce is not None:
                 self._announce(bound_host, bound_port)
-            start = monotonic()
             ran_inprocess = False
             while not self.done:
                 if deadline is not None and monotonic() >= deadline:
@@ -500,8 +346,7 @@ class ShardServer:
                 # sleeping _POLL_INTERVAL between shards, while a
                 # connecting worker is still noticed every iteration.
                 wait = 0.0 if ran_inprocess else _POLL_INTERVAL
-                ran_inprocess = self._step(wait, start, listener, selector,
-                                           conns)
+                ran_inprocess = self._step(wait, listener, selector, conns)
             # Linger: every held request is answered ``done`` by the
             # step; keep serving until each live connection has been
             # told, so workers exit now rather than by backoff.
@@ -510,7 +355,7 @@ class ShardServer:
                 until = min(until, deadline)
             while monotonic() < until and not all(
                     state.done_sent for state in conns.values()):
-                self._step(_POLL_INTERVAL, start, listener, selector, conns)
+                self._step(_POLL_INTERVAL, listener, selector, conns)
         finally:
             for state in list(conns.values()):
                 self._drop_conn(state, selector, conns)
@@ -521,15 +366,16 @@ class ShardServer:
             listener.close()
             selector.close()
             self._collect_worker_tallies()
-        return [outcome for outcome in self._outcomes]
+        return self.outcomes
 
-    def _step(self, wait: float, start: float, listener: socket.socket,
-              selector, conns) -> bool:
+    def _step(self, wait: float, listener: socket.socket, selector,
+              conns) -> bool:
         """One pass of the serving loop (main loop and linger alike).
 
         Services ready sockets, sweeps leases and stalled peers, runs a
-        shard in-process if the ladder says so, then re-asks the core
-        for every held request.  Returns True when a shard ran here.
+        shard in-process if the liveness rule says so, then re-asks the
+        core for every held request.  Returns True when a shard ran
+        here.
         """
         for key, _ in selector.select(timeout=wait):
             if key.fileobj is listener:
@@ -538,7 +384,7 @@ class ShardServer:
                 self._service(key.fileobj, selector, conns)
         self.tick()
         self._sweep_stalled(selector, conns)
-        ran_inprocess = self._maybe_solo(start)
+        ran_inprocess = self.maybe_run_inprocess()
         for state in list(conns.values()):
             if state.held is not None:
                 self._answer_held(state, selector, conns)
@@ -558,8 +404,8 @@ class ShardServer:
         if reply.get("type") == "idle" and not force and \
                 monotonic() < state.held_until:
             return True
-        state.held = None
-        if self._reply(state, reply):
+        held, state.held = state.held, None
+        if self._reply(state, _paired(reply, held)):
             return True
         self._drop_conn(state, selector, conns)
         return False
@@ -623,6 +469,7 @@ class ShardServer:
                         self._drop_conn(old, selector, conns)
                 session.conn = state.conn
                 state.session = session
+                self.attach(session.worker_id)
             if state.session is not None:
                 state.session.frames_in += 1
             if body.get("type") == "request" and reply.get("type") == \
@@ -636,7 +483,7 @@ class ShardServer:
                 state.held = body
                 state.held_until = monotonic() + wait
                 continue
-            if not self._reply(state, reply):
+            if not self._reply(state, _paired(reply, body)):
                 self._drop_conn(state, selector, conns)
                 return
 
@@ -664,6 +511,7 @@ class ShardServer:
             # The session survives (leases intact until expiry); only
             # the transport endpoint is gone.
             state.session.conn = None
+            self.detach(state.session.worker_id)
         try:
             state.conn.close()
         except OSError:  # pragma: no cover
@@ -679,25 +527,6 @@ class ShardServer:
                     self.io_timeout:
                 self.tallies["frame_errors"] += 1
                 self._drop_conn(state, selector, conns)
-
-    def _maybe_solo(self, start: float) -> bool:
-        """Degradation ladder's last rung: run a shard ourselves.
-
-        Regrant-exhausted shards always; ordinary pending shards only
-        when no worker is connected (and either one *was* -- all
-        remotes vanished -- or none ever showed within
-        ``solo_after``).  Returns True when a shard was executed.
-        """
-        if not (self._inproc_only or self._pending):
-            return False
-        if self._inproc_only:
-            return self.run_one_inprocess()
-        if self._live_sessions():
-            return False
-        if self._ever_connected or monotonic() - start >= \
-                self.solo_after:
-            return self.run_one_inprocess()
-        return False
 
     def _collect_worker_tallies(self) -> None:
         self.tallies["workers"] = [
@@ -753,6 +582,7 @@ class ShardWorker:
         self.backoff_cap = backoff_cap
         self._sleep = sleep
         self._lock = threading.RLock()
+        self._rpc_seq = itertools.count()
         self._sock: Optional[socket.socket] = None
         self._worker_id: Optional[int] = None
         self._config: Optional[Dict[str, Any]] = None
@@ -795,11 +625,8 @@ class ShardWorker:
                 last_error = exc
                 continue
             try:
-                deadline = monotonic() + self.rpc_timeout
-                wire.send_frame(sock, {"type": "hello",
-                                       "worker": self.name},
-                                deadline=deadline)
-                reply = wire.recv_frame(sock, deadline=deadline)
+                reply = self._exchange(sock, {"type": "hello",
+                                              "worker": self.name})
             except (wire.WireError, OSError) as exc:
                 last_error = exc
                 sock.close()
@@ -815,8 +642,6 @@ class ShardWorker:
             self._sock = sock
             self._worker_id = reply["worker_id"]
             self._config = reply.get("config") or {}
-            self.tallies["frames_out"] += 1
-            self.tallies["frames_in"] += 1
             return
         if self.ever_connected:
             raise ServerGone(f"server unreachable after "
@@ -825,6 +650,20 @@ class ShardWorker:
         raise WorkerUnavailable(
             f"could not reach shard server at {self.host}:{self.port} "
             f"after {self.connect_attempts} attempts: {last_error}")
+
+    def _exchange(self, sock: socket.socket,
+                  body: Dict[str, Any]) -> Dict[str, Any]:
+        """Send ``body`` under a fresh ``seq``; return the reply that
+        carries it, discarding any other (a duplicated frame)."""
+        seq = next(self._rpc_seq)
+        deadline = monotonic() + self.rpc_timeout
+        wire.send_frame(sock, dict(body, seq=seq), deadline=deadline)
+        self.tallies["frames_out"] += 1
+        while True:
+            reply = wire.recv_frame(sock, deadline=deadline)
+            self.tallies["frames_in"] += 1
+            if reply.get("seq") == seq:
+                return reply
 
     def _rpc(self, body: Dict[str, Any]) -> Dict[str, Any]:
         """One request/response exchange, reconnect-and-retry on loss."""
@@ -835,14 +674,8 @@ class ShardWorker:
                     if self._sock is None:
                         self._connect()
                     assert self._sock is not None
-                    frame = dict(body)
-                    frame["worker_id"] = self._worker_id
-                    deadline = monotonic() + self.rpc_timeout
-                    wire.send_frame(self._sock, frame, deadline=deadline)
-                    self.tallies["frames_out"] += 1
-                    reply = wire.recv_frame(self._sock,
-                                            deadline=deadline)
-                    self.tallies["frames_in"] += 1
+                    reply = self._exchange(
+                        self._sock, dict(body, worker_id=self._worker_id))
                 except (wire.WireError, OSError) as exc:
                     last_error = exc
                     self._close()

@@ -13,10 +13,13 @@ here
    and propagates sleep sets to the frontier nodes with the exact rule
    the serial engine uses, so the union of shard subtrees covers the same
    Mazurkiewicz traces the serial search would;
-2. farms each frontier prefix out to a ``fork``-based worker pool
-   (:func:`run_pool`), each worker replaying its prefix and exploring the
-   subtree with the ordinary serial engine in *collect* mode (property
-   failures are recorded, not raised, so every shard finishes);
+2. farms each frontier prefix out through the lease pool
+   (:class:`LeasePool`, here over ``fork``-based workers in
+   :func:`run_pool`; :class:`repro.runtime.netshard.ShardServer` is the
+   same core over TCP), each worker replaying its prefix and exploring
+   the subtree with the ordinary serial engine in *collect* mode
+   (property failures are recorded, not raised, so every shard
+   finishes);
 3. **merges** shard statistics in frontier order via
    :meth:`ExplorationStats.merge` -- run counts and the winning violation
    (first by lexicographic prefix order) are therefore reproducible
@@ -28,9 +31,10 @@ Determinism contract: the frontier target is independent of ``jobs``
 explore the *identical* shards and report identical statistics and
 counterexamples; ``jobs`` only controls how many OS processes execute
 them.  Degradation is graceful: with ``jobs=1``, a single shard, or no
-``fork`` start method, shards run in-process; a worker that dies
-mid-shard (e.g. SIGKILL) has its orphaned shard re-executed in-process,
-which is sound because shards are deterministic.
+``fork`` start method, shards run in-process; a worker that dies or
+wedges mid-shard has its shard re-granted, and when no usable worker
+remains the coordinator runs it in-process, which is sound because
+shards are deterministic.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ import multiprocessing as mp
 import multiprocessing.connection  # noqa: F401 - mp.connection.wait
 import os
 import pickle
+from collections import deque
+from time import monotonic, perf_counter
+from time import sleep as _sleep
 from typing import (Any, Callable, Dict, Generator, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -64,7 +71,8 @@ DEFAULT_PREFIX_FACTOR = 4
 #: for every ``jobs <= max(_FRONTIER_BASE, cpu_count)``.
 _FRONTIER_BASE = 16
 
-#: Seconds between liveness checks while waiting on the result queue.
+#: Seconds a transport loop waits for frames between lease sweeps and
+#: liveness checks (both the fork pool and the TCP shard server).
 _POLL_INTERVAL = 0.05
 
 #: Seconds granted at each stage of worker teardown (cooperative exit,
@@ -72,8 +80,9 @@ _POLL_INTERVAL = 0.05
 #: can shrink it.
 _JOIN_TIMEOUT = 2.0
 
-#: In-process attempts granted to a failed task (a dead worker's orphan
-#: or a worker-reported error) before the failure is surfaced.
+#: In-process attempts granted to a task that failed elsewhere (a
+#: worker-reported error, or its re-grant budget used up) before the
+#: failure is surfaced.
 _RETRY_MAX_ATTEMPTS = 3
 
 #: Base/cap of the exponential backoff slept between retry attempts
@@ -129,7 +138,7 @@ def resolve_jobs(jobs: Union[int, str, None]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The worker pool.
+# The lease pool: one protocol core, two transports.
 # ---------------------------------------------------------------------------
 
 def _run_task(runner: Callable[[Any], Any], payload: Any,
@@ -149,7 +158,6 @@ def _run_task(runner: Callable[[Any], Any], payload: Any,
     the task's own wall-clock (metrics only -- never part of
     exploration statistics).
     """
-    from time import perf_counter
     kinds = set(fault.split(",")) if fault else set()
     if "sigkill" in kinds and in_worker:
         import signal
@@ -164,6 +172,245 @@ def _run_task(runner: Callable[[Any], Any], payload: Any,
     except Exception as exc:  # noqa: BLE001 - reported to the coordinator
         return (None, f"{type(exc).__name__}: {exc}"), \
             perf_counter() - start
+
+
+class LeasePool:
+    """The lease protocol's transport-free core, shared by every venue.
+
+    It owns one run's shards: the pending queue, the
+    :class:`~repro.runtime.lease.LeaseTable`, the re-grant budget,
+    holder-checked settling and the in-process fallback.  A transport
+    only carries messages: :meth:`request`, :meth:`heartbeat` and
+    :meth:`complete` for what a worker says, :meth:`attach` and
+    :meth:`detach` as workers come and go, and :meth:`tick` plus
+    :meth:`maybe_run_inprocess` on every pass of its loop.
+    :func:`run_pool` (forks over pipes) and
+    :class:`repro.runtime.netshard.ShardServer` (TCP) are the two.
+
+    **Liveness.**  A worker whose lease lapses is presumed lost until it
+    next asks for work or reports a result (a stale heartbeat does not
+    count: that worker is still busy with the lapsed shard).  The
+    coordinator runs a shard itself when one failed elsewhere, or when
+    work is pending and every attached worker is presumed lost --
+    provided a worker was attached once, or ``solo_after`` seconds
+    have passed since :meth:`begin`.
+    """
+
+    def __init__(self, *, lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
+                 regrant_max: int = _REGRANT_MAX,
+                 solo_after: float = 0.0) -> None:
+        self.lease_timeout = lease_timeout
+        self.regrant_max = regrant_max
+        self.solo_after = solo_after
+        #: Observability only, never part of deterministic statistics.
+        self.tallies: Dict[str, Any] = {
+            "stale_rejections": 0, "regrants": 0, "remote_shards": 0,
+            "inprocess_shards": 0,
+        }
+
+    def _now(self) -> float:
+        return monotonic()
+
+    def begin(self, payloads: Sequence[Any],
+              runner: Callable[[Any], Any],
+              on_grant: Optional[Callable[[int, int], None]] = None,
+              on_settle: Optional[Callable[[int, Any], None]] = None,
+              task_log: Optional[List[Dict[str, Any]]] = None,
+              deadline: Optional[float] = None,
+              fault_plan: Optional[Dict[int, str]] = None) -> None:
+        """Arm the pool with one run's shards and callbacks."""
+        self._payloads = list(payloads)
+        self._runner = runner
+        self._on_grant = on_grant
+        self._on_settle = on_settle
+        self._task_log = task_log
+        self._deadline = deadline
+        self._fault_plan = fault_plan or {}
+        n = len(self._payloads)
+        self._outcomes: List[Optional[Tuple[Any, Optional[str]]]] = \
+            [None] * n
+        self._completed: set = set()
+        self._pending: deque = deque(range(n))
+        #: ``(shard, last_error)`` for shards that failed elsewhere:
+        #: only the coordinator's retry ladder may still run them.
+        self._inproc_only: deque = deque()
+        self._leases = LeaseTable(timeout=self.lease_timeout)
+        self._regrants: Dict[int, int] = {}
+        self._attached: set = set()
+        self._lost: set = set()
+        self._seen = False
+        self._started = self._now()
+
+    @property
+    def done(self) -> bool:
+        """Every shard settled?"""
+        return len(self._completed) >= len(self._payloads)
+
+    @property
+    def outcomes(self) -> List[Optional[Tuple[Any, Optional[str]]]]:
+        """Per-payload outcomes settled so far (None = still open)."""
+        return list(self._outcomes)
+
+    def attach(self, worker: int) -> None:
+        """A worker's channel opened."""
+        self._attached.add(worker)
+        self._seen = True
+
+    def detach(self, worker: int, lapse: bool = False) -> None:
+        """A worker's channel closed; ``lapse`` expires its lease now
+        (a dead fork), otherwise it lives on for a reconnect."""
+        self._attached.discard(worker)
+        held = self._leases.held_by(worker)
+        if lapse and held is not None:
+            self._lapse(held)
+
+    def request(self, worker: int,
+                now: Optional[float] = None) -> Optional[int]:
+        """Grant ``worker`` a shard; None when nothing is grantable.
+
+        Idempotent while the worker's lease lives: a worker whose grant
+        reply was lost asks again and gets the *same* shard back (lease
+        renewed) instead of leaking a second lease.
+        """
+        now = self._now() if now is None else now
+        self._lost.discard(worker)
+        idx = self._leases.held_by(worker)
+        if idx is not None:
+            self._leases.renew(idx, worker, now=now)
+            return idx
+        while self._pending:
+            idx = self._pending.popleft()
+            if idx not in self._completed:
+                self._leases.grant(idx, worker, now=now)
+                if self._on_grant is not None:
+                    self._on_grant(idx, worker)
+                return idx
+        return None
+
+    def heartbeat(self, worker: int, shard: int,
+                  now: Optional[float] = None) -> bool:
+        """Renew ``shard``'s lease; False when ``worker`` lost it."""
+        return self._leases.renew(shard, worker,
+                                  now=self._now() if now is None else now)
+
+    def complete(self, worker: int, shard: int,
+                 outcome: Tuple[Any, Optional[str]]) -> bool:
+        """Apply ``worker``'s ``(value, error)``; True when it settled.
+
+        An error from the holder sends the shard to the retry ladder (a
+        real scenario error reproduces there and surfaces; a
+        worker-environment fluke does not).
+        """
+        self._lost.discard(worker)
+        if outcome[1] is not None:
+            if self._leases.holder(shard) == worker:
+                self._leases.release(shard)
+                if shard not in self._completed:
+                    self._inproc_only.append((shard, outcome[1]))
+            return False
+        if not self._accept_completion(shard, worker):
+            self.tallies["stale_rejections"] += 1
+            return False
+        self.tallies["remote_shards"] += 1
+        self._settle(shard, outcome)
+        return True
+
+    def _accept_completion(self, shard: int, worker_id: int) -> bool:
+        # Only the shard's *current* lease holder may complete it: a
+        # result from an expired or superseded holder -- including one
+        # a network replays from a previous incarnation of the run --
+        # is rejected, exactly as LeaseTable rejects a stale heartbeat.
+        # The netshard-accept-stale-result mutant drops this check; the
+        # network differential tier catches it.
+        if shard in self._completed:
+            return False
+        return self._leases.holder(shard) == worker_id
+
+    def _settle(self, idx: int, outcome: Tuple[Any, Optional[str]]
+                ) -> None:
+        self._outcomes[idx] = outcome
+        self._completed.add(idx)
+        self._leases.release(idx)
+        if self._on_settle is not None:
+            self._on_settle(idx, outcome)
+
+    def tick(self, now: Optional[float] = None) -> None:
+        """Sweep lapsed leases: presume the holders lost, and re-queue
+        each shard until it has lapsed more than ``regrant_max`` times,
+        then hand it to the retry ladder."""
+        for lease in self._leases.expired(
+                self._now() if now is None else now):
+            self._lost.add(lease.worker)
+            self._lapse(lease.shard)
+
+    def _lapse(self, shard: int) -> None:
+        self._leases.release(shard)
+        if shard in self._completed:
+            return
+        self._regrants[shard] = self._regrants.get(shard, 0) + 1
+        self.tallies["regrants"] += 1
+        if self._regrants[shard] > self.regrant_max:
+            self._inproc_only.append((shard, None))
+        else:
+            self._pending.appendleft(shard)
+
+    def maybe_run_inprocess(self, now: Optional[float] = None) -> bool:
+        """Apply the liveness rule; True when a shard ran here."""
+        if not self._inproc_only:
+            if not self._pending or self._attached - self._lost:
+                return False
+            if not self._seen and (self._now() if now is None else now) \
+                    - self._started < self.solo_after:
+                return False
+        return self.run_one_inprocess()
+
+    def run_one_inprocess(self) -> bool:
+        """Execute one eligible shard in the coordinator process.
+
+        A shard that failed elsewhere goes first, through the retry
+        ladder: ``_RETRY_MAX_ATTEMPTS`` attempts with capped exponential
+        backoff, each backoff clamped to the deadline (a ladder that
+        reaches it raises the timeout interrupt rather than sleep past
+        it).  A pending shard runs once.  False when none was eligible.
+        """
+        while self._inproc_only or self._pending:
+            if self._inproc_only:
+                idx, last_error = self._inproc_only.popleft()
+                attempts = range(1, _RETRY_MAX_ATTEMPTS + 1)
+            else:
+                idx, last_error = self._pending.popleft(), None
+                attempts = range(1)
+            if idx in self._completed:
+                continue
+            if self._on_grant is not None:
+                self._on_grant(idx, -1)
+            for attempt in attempts:
+                if attempt > 1:
+                    backoff = min(_RETRY_BACKOFF_BASE * 2 ** (attempt - 2),
+                                  _RETRY_BACKOFF_CAP)
+                    if self._deadline is not None:
+                        remaining = self._deadline - monotonic()
+                        if remaining <= 0:
+                            raise ExplorationInterrupted(
+                                "timeout", f"wall-clock budget exhausted "
+                                f"while retrying task {idx} (last error: "
+                                f"{last_error})")
+                        backoff = min(backoff, remaining)
+                    _sleep(backoff)
+                outcome, seconds = _run_task(
+                    self._runner, self._payloads[idx],
+                    self._fault_plan.get(idx), in_worker=False,
+                    attempt=attempt)
+                if self._task_log is not None:
+                    self._task_log.append(
+                        {"index": idx, "worker": -1, "seconds": seconds})
+                if outcome[1] is None:
+                    break
+                last_error = outcome[1]
+            self.tallies["inprocess_shards"] += 1
+            self._settle(idx, outcome)
+            return True
+        return False
 
 
 def _worker_loop(task_conn, result_conn,
@@ -242,7 +489,7 @@ def _worker_loop(task_conn, result_conn,
 class _Worker:
     """One pool worker: a forked process plus its two private pipes."""
 
-    __slots__ = ("wid", "proc", "task_conn", "result_conn", "inflight")
+    __slots__ = ("wid", "proc", "task_conn", "result_conn", "busy")
 
     def __init__(self, wid: int, ctx, runner, fault_plan,
                  heartbeat_interval: float) -> None:
@@ -259,7 +506,8 @@ class _Worker:
         # the moment the worker dies.
         task_recv.close()
         result_send.close()
-        self.inflight: Optional[int] = None
+        #: A task was sent and its result has not come back.
+        self.busy = False
 
 
 def run_pool(payloads: Sequence[Any],
@@ -279,26 +527,11 @@ def run_pool(payloads: Sequence[Any],
     ``fault_plan`` maps payload index to an injected fault kind (tests
     only; see :func:`_run_task` and :func:`_worker_loop`).
 
-    Tasks are handed out under **leases** (:mod:`repro.runtime.lease`):
-    each grant expires after ``_LEASE_TIMEOUT`` seconds unless renewed
-    by the worker's heartbeat frames.  A lease that lapses -- the
-    holder died (also observed immediately as EOF on its private result
-    pipe), was SIGSTOPped, or wedged -- gets its task re-granted to a
-    free live worker, up to ``_REGRANT_MAX`` times, then falls back to
-    the coordinator's in-process retry ladder.  Re-execution in any
-    venue is sound because tasks are deterministic; a late result from
-    a presumed-dead holder is deduplicated (first settle wins).
-
-    A failed task -- an orphan with no worker left to take it or a
-    worker-reported error -- is retried in-process up to
-    ``_RETRY_MAX_ATTEMPTS`` times with capped exponential backoff
-    between attempts (``_RETRY_BACKOFF_BASE`` doubling up to
-    ``_RETRY_BACKOFF_CAP``).  Each backoff is clamped to the remaining
-    ``deadline`` budget, and a ladder that reaches the deadline raises
-    :class:`~repro.runtime.explore.ExplorationInterrupted` instead of
-    sleeping past it.  The degraded (in-process) pool keeps single-shot
-    execution: there is no worker boundary for a transient fault to
-    hide behind.
+    This is the fork transport of :class:`LeasePool`, which makes every
+    scheduling decision (leases of ``_LEASE_TIMEOUT`` seconds, re-grants,
+    the retry ladder, the liveness rule).  The loop asks the core for
+    work on behalf of each free worker and feeds it heartbeat and result
+    frames; EOF on a worker's result pipe expires its lease at once.
 
     ``on_grant(idx, wid)`` / ``on_settle(idx, outcome)`` are optional
     observer hooks, fired for every grant (worker ``-1`` = the
@@ -313,163 +546,54 @@ def run_pool(payloads: Sequence[Any],
     *still* alive -- a wedged worker can therefore neither linger as a
     zombie nor survive the pool as a stopped orphan.
     """
+    pool = LeasePool(lease_timeout=_LEASE_TIMEOUT)
+    pool.begin(payloads, runner, on_grant=on_grant, on_settle=on_settle,
+               task_log=task_log, deadline=deadline, fault_plan=fault_plan)
     n = len(payloads)
-    if n == 0:
-        return []
-
-    def log_task(idx: int, wid: int, seconds: float) -> None:
-        if task_log is not None:
-            task_log.append(
-                {"index": idx, "worker": wid, "seconds": seconds})
-
     if jobs <= 1 or n <= 1 or not fork_available():
-        outcomes = []
-        for i, p in enumerate(payloads):
-            if on_grant is not None:
-                on_grant(i, -1)
-            outcome, seconds = _run_task(runner, p,
-                                         (fault_plan or {}).get(i),
-                                         in_worker=False)
-            log_task(i, -1, seconds)
-            if on_settle is not None:
-                on_settle(i, outcome)
-            outcomes.append(outcome)
-        return outcomes
+        while pool.run_one_inprocess():
+            pass
+        return pool.outcomes
 
     ctx = mp.get_context("fork")
-    pending = list(range(n))          # task indices not yet handed out
-    outcomes: List[Optional[Tuple[Any, Optional[str]]]] = [None] * n
-    done = 0
-    leases = LeaseTable(timeout=_LEASE_TIMEOUT)
-    regrants: Dict[int, int] = {}     # worker re-executions per task
     workers = [_Worker(wid, ctx, runner, fault_plan, _HEARTBEAT_INTERVAL)
                for wid in range(min(jobs, n))]
-    live = list(workers)
-
-    def assign(worker: _Worker) -> None:
-        if pending and worker.inflight is None:
-            idx = pending.pop(0)
-            worker.inflight = idx
-            leases.grant(idx, worker.wid)
-            if on_grant is not None:
-                on_grant(idx, worker.wid)
-            worker.task_conn.send((idx, payloads[idx]))
-
-    def settle(idx: int, outcome) -> None:
-        nonlocal done
-        if outcomes[idx] is None:
-            outcomes[idx] = outcome
-            done += 1
-            leases.release(idx)
-            if on_settle is not None:
-                on_settle(idx, outcome)
-
-    def recover(idx: int, last_error: Optional[str] = None) -> None:
-        # In-process re-execution of a failed task: up to
-        # _RETRY_MAX_ATTEMPTS attempts with capped exponential backoff
-        # between them (tasks are deterministic modulo infrastructure
-        # faults, so a retry that succeeds is as good as a worker run).
-        from time import monotonic, sleep
-        for attempt in range(1, _RETRY_MAX_ATTEMPTS + 1):
-            if attempt > 1:
-                backoff = min(_RETRY_BACKOFF_BASE * (2 ** (attempt - 2)),
-                              _RETRY_BACKOFF_CAP)
-                if deadline is not None:
-                    remaining = deadline - monotonic()
-                    if remaining <= 0:
-                        # The wall-clock budget is gone: surface the
-                        # interrupt instead of sleeping past it (the
-                        # caller merges whatever coverage it holds).
-                        raise ExplorationInterrupted(
-                            "timeout",
-                            f"wall-clock budget exhausted while "
-                            f"retrying task {idx} (last error: "
-                            f"{last_error})")
-                    backoff = min(backoff, remaining)
-                sleep(backoff)
-            outcome, seconds = _run_task(runner, payloads[idx],
-                                         (fault_plan or {}).get(idx),
-                                         in_worker=False,
-                                         attempt=attempt)
-            log_task(idx, -1, seconds)
-            if outcome[1] is None:
-                settle(idx, outcome)
-                return
-            last_error = outcome[1]
-        settle(idx, (None, last_error))
-
-    def redispatch(idx: int) -> None:
-        # The task's lease lapsed or its holder died.  Hand it to a
-        # free live worker while the re-grant budget lasts; otherwise
-        # run it in-process *now* -- queueing it with no free worker
-        # could wait forever on a pool whose every member is wedged.
-        if outcomes[idx] is not None:
-            return
-        free = [w for w in live if w.inflight is None]
-        if regrants.get(idx, 0) < _REGRANT_MAX and free:
-            regrants[idx] = regrants.get(idx, 0) + 1
-            pending.insert(0, idx)
-            assign(free[0])
-        else:
-            recover(idx)
-
+    live = {worker.result_conn: worker for worker in workers}
+    for worker in workers:
+        pool.attach(worker.wid)
     try:
-        for worker in live:
-            assign(worker)
-        while done < n:
-            if not live:
-                for idx in list(pending):
-                    recover(idx)
-                pending.clear()
-                break
-            for lease in leases.expired():
-                # The holder may be wedged or merely silent; either
-                # way it stopped heartbeating for a whole lease
-                # window.  Leave its inflight mark (a late result is
-                # deduplicated by settle) and move the shard on.
-                leases.release(lease.shard)
-                redispatch(lease.shard)
-            if done >= n:
-                break
+        ran_inprocess = False
+        while not pool.done:
+            for worker in live.values():
+                if not worker.busy:
+                    idx = pool.request(worker.wid)
+                    if idx is not None:
+                        worker.busy = True
+                        try:
+                            worker.task_conn.send((idx, payloads[idx]))
+                        except OSError:
+                            pass  # it died; EOF below expires the lease
             ready = mp.connection.wait(
-                [w.result_conn for w in live], timeout=_POLL_INTERVAL)
-            conns = {id(w.result_conn): w for w in live}
+                list(live), timeout=0.0 if ran_inprocess else _POLL_INTERVAL)
             for conn in ready:
-                worker = conns[id(conn)]
+                worker = live[conn]
                 try:
                     frame = pickle.loads(conn.recv_bytes())
                 except (EOFError, OSError):
-                    # Worker died mid-task: retire it, release its
-                    # lease, and move its task to a surviving worker
-                    # (or in-process) via the same re-grant path a
-                    # lapsed lease takes.
-                    live.remove(worker)
-                    if worker.inflight is not None:
-                        idx = worker.inflight
-                        if leases.holder(idx) == worker.wid:
-                            # Only redispatch if the corpse still held
-                            # the lease -- after an expiry the task is
-                            # already granted (or settled) elsewhere.
-                            leases.release(idx)
-                            redispatch(idx)
+                    del live[conn]
+                    pool.detach(worker.wid, lapse=True)
                     continue
                 if frame[0] == "heartbeat":
-                    leases.renew(frame[1], worker.wid)
+                    pool.heartbeat(worker.wid, frame[1])
                     continue
                 idx, outcome, seconds = frame
-                log_task(idx, worker.wid, seconds)
-                if outcomes[idx] is not None:
-                    # Late duplicate from a presumed-lost holder whose
-                    # task was already re-executed elsewhere.
-                    pass
-                elif outcome[1] is not None:
-                    # Worker-reported failure: walk the retry ladder
-                    # before surfacing it (the worker stays usable).
-                    recover(idx, last_error=outcome[1])
-                else:
-                    settle(idx, outcome)
-                worker.inflight = None
-                assign(worker)
+                if task_log is not None:
+                    task_log.append({"index": idx, "worker": worker.wid,
+                                     "seconds": seconds})
+                pool.complete(worker.wid, idx, outcome)
+                worker.busy = False
+            pool.tick()
+            ran_inprocess = pool.maybe_run_inprocess()
     finally:
         for worker in workers:
             try:
@@ -493,7 +617,7 @@ def run_pool(payloads: Sequence[Any],
                     conn.close()
                 except OSError:  # pragma: no cover - already closed
                     pass
-    return [outcome for outcome in outcomes]  # all settled
+    return pool.outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +862,6 @@ def explore_parallel(build: Optional[Builder] = None,
     jobs = resolve_jobs(jobs)
     use_sleep = reduction == "dpor"
     target = prefix_factor * max(_FRONTIER_BASE, os.cpu_count() or 1, jobs)
-    from time import perf_counter
     # The frontier store needs the expansion counters even when no
     # metrics collector is attached at checkpoint time -- a later
     # resume may attach one.

@@ -232,6 +232,30 @@ class TestChaos:
         assert proxy.injected["duplicate"] > 0
 
 
+    def test_duplicated_replies_do_not_desynchronize_the_worker(self):
+        """Replies are paired with requests by ``seq``: under the same
+        duplicate-heavy proxy the worker serves shards and ends on
+        ``done``, and the server rejects the duplicated completions."""
+        name = "safe-agreement"
+        sc = _scenario(name)
+        serial = _serial(sc)
+        run = _SocketRun(name, sc)
+        host, port = run.address
+        proxy = ChaosProxy(host, port, seed=3, duplicate=0.5)
+        proxy_host, proxy_port = proxy.start()
+        try:
+            worker = run.attach_worker("dup-w0", host=proxy_host,
+                                       port=proxy_port, rpc_timeout=1.0,
+                                       rpc_attempts=10)
+            stats = run.finish()
+        finally:
+            proxy.stop()
+        assert stats == serial
+        assert worker.stopped == "done"
+        assert run.server.tallies["remote_shards"] > 0
+        assert run.server.tallies["stale_rejections"] > 0
+
+
 class TestProcessDeath:
     def test_worker_sigkill_mid_run_changes_nothing(self, tmp_path):
         """SIGKILL a live remote worker process: its leases lapse, the
@@ -528,3 +552,40 @@ class TestWorkerProcesses:
         assert (f"{sum(sessions.values())} shard(s) completed across "
                 f"2 session(s), 0 RPC retr(ies)") in proc.stdout
         assert "stopped on done (2)" in proc.stdout
+
+
+class TestLiveness:
+    def test_silent_grant_holders_do_not_stall_the_run(self):
+        """Two connections take a grant each and go silent without
+        closing.  Both leases lapse, both holders are presumed lost,
+        and the coordinator runs all four shards itself."""
+        server = ShardServer(config={"scenario": "adopt-commit"},
+                             lease_timeout=0.5, solo_after=60.0)
+        payloads = [((i,), frozenset()) for i in range(4)]
+        box = {}
+
+        def coordinate():
+            box["outcomes"] = server(
+                payloads, lambda payload: (
+                    ExplorationStats(complete_runs=1 + payload[0][0]), {}))
+
+        thread = threading.Thread(target=coordinate, daemon=True)
+        thread.start()
+        _wait_for(lambda: server.port)
+        clients = [_RawClient((server.host, server.port), f"silent-{i}")
+                   for i in range(2)]
+        try:
+            for client in clients:
+                assert client.rpc({"type": "request"})["type"] == "grant"
+            thread.join(timeout=15.0)
+            finished = not thread.is_alive()
+        finally:
+            for client in clients:  # unblocks a server that waits on them
+                client.close()
+            thread.join(timeout=10.0)
+        assert finished, "the run waited on workers that went silent"
+        assert [stats.complete_runs for (stats, _), _err
+                in box["outcomes"]] == [1, 2, 3, 4]
+        assert server.tallies["regrants"] == 2
+        assert server.tallies["inprocess_shards"] == 4
+        assert server.tallies["remote_shards"] == 0

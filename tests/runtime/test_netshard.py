@@ -249,6 +249,37 @@ class TestRegrantLadder:
         assert reply == {"type": "done"}
 
 
+class TestRetryLadder:
+    def test_worker_reported_error_walks_the_retry_ladder(self,
+                                                          monkeypatch):
+        """A socket-reported error gets the fork pool's in-process
+        ladder: a runner that fails its first attempt still settles."""
+        from repro.runtime import parallel
+        monkeypatch.setattr(parallel, "_RETRY_BACKOFF_BASE", 0.0)
+        calls = []
+
+        def fails_once(payload):
+            calls.append(payload)
+            if len(calls) == 1:
+                raise RuntimeError("transient")
+            return _runner(payload)
+
+        server = ShardServer(config={"scenario": "adopt-commit"})
+        server.begin(PAYLOADS, fails_once)
+        wid = server.handle_message({"type": "hello", "worker": "w"},
+                                    now=0.0)["worker_id"]
+        grant = server.handle_message({"type": "request", "worker_id": wid},
+                                      now=0.0)
+        server.handle_message(
+            {"type": "complete", "worker_id": wid, "shard": grant["shard"],
+             "error": "MemoryError: worker box too small"}, now=1.0)
+        assert server.run_one_inprocess()
+        value, error = server.outcomes[grant["shard"]]
+        assert error is None, error
+        assert value[0].complete_runs == 1
+        assert len(calls) == 2
+
+
 class TestBackoff:
     def test_deterministic(self):
         assert backoff_delay("w", 3) == backoff_delay("w", 3)

@@ -5,14 +5,24 @@ cross-scenario serial-vs-parallel comparisons live in
 ``tests/properties/test_parallel_differential.py`` (``parallel`` tier).
 """
 
+import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 
 import pytest
 
+import repro
 from repro.runtime import CounterexampleFound, explore, explore_dpor
-from repro.runtime.parallel import (explore_parallel, fork_available,
-                                    resolve_jobs, run_pool)
+from repro.runtime.parallel import (LeasePool, explore_parallel,
+                                    fork_available, resolve_jobs, run_pool)
 from repro.scenarios import ScenarioRef, build_scenario, check_scenarios
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def _square(x):
@@ -352,3 +362,133 @@ class TestLeaseRecovery:
                             task_log=task_log)
         assert outcomes == [(0, None), (0, None)]
         assert len(task_log) == 2  # every task executed exactly once
+
+    def test_run_finishes_when_every_worker_wedges(self):
+        """Both workers SIGSTOP on their first task: no EOF, no frame,
+        no free worker.  Both leases lapse, both workers are presumed
+        lost, and the coordinator runs every remaining task itself.
+
+        The pool runs in a child process group with the class's
+        timeouts, so a hang fails this test (the group is killed)
+        instead of stalling the suite.
+        """
+        script = textwrap.dedent("""
+            import json, os
+            from repro.runtime import parallel
+            parallel._LEASE_TIMEOUT = 0.5
+            parallel._HEARTBEAT_INTERVAL = 0.1
+            parallel._JOIN_TIMEOUT = 0.2
+            log = []
+            outcomes = parallel.run_pool(
+                [1, 2, 3, 4], lambda x: x * x, jobs=2,
+                fault_plan={0: "sigstop", 1: "sigstop"}, task_log=log)
+            me = str(os.getpid())
+            children = []
+            for entry in os.listdir("/proc"):
+                try:
+                    with open(f"/proc/{entry}/stat") as handle:
+                        fields = handle.read().rsplit(")", 1)[1].split()
+                except OSError:
+                    continue
+                if fields[1] == me:
+                    children.append((entry, fields[0]))
+            print(json.dumps({"outcomes": outcomes, "log": log,
+                              "children": children}))
+        """)
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("run_pool hung with every worker wedged")
+        assert proc.returncode == 0, err
+        report = json.loads(out.strip().splitlines()[-1])
+        assert report["outcomes"] == [[1, None], [4, None], [9, None],
+                                      [16, None]]
+        inprocess = {entry["index"] for entry in report["log"]
+                     if entry["worker"] == -1}
+        assert {0, 1} <= inprocess
+        assert report["children"] == []
+
+    def test_late_result_from_a_lapsed_holder_is_rejected(self, tmp_path):
+        """Task 0's first holder stops long enough for its lease to
+        lapse, then resumes and reports.  Its result is stale; the
+        re-granted holder's result settles the task."""
+        marker = str(tmp_path / "first-holder")
+
+        def runner(task):
+            if task == 1:
+                return "other"
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                time.sleep(1.5)  # heartbeats keep this lease alive
+                return "regranted"
+            os.write(fd, str(os.getpid()).encode())
+            os.close(fd)
+            os.kill(os.getpid(), signal.SIGSTOP)
+            return "late"
+
+        def wake_first_holder():
+            # Resume the stopped holder 1.5 s after it stopped: its
+            # 0.5 s lease has lapsed by then.
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                try:
+                    with open(marker) as handle:
+                        pid = int(handle.read())
+                    break
+                except (OSError, ValueError):
+                    time.sleep(0.01)
+            else:
+                return
+            time.sleep(1.5)
+            os.kill(pid, signal.SIGCONT)
+
+        waker = threading.Thread(target=wake_first_holder, daemon=True)
+        waker.start()
+        outcomes = run_pool([0, 1], runner, jobs=2)
+        waker.join(timeout=30.0)
+        assert not waker.is_alive()
+        assert outcomes == [("regranted", None), ("other", None)]
+
+
+class TestLeasePoolLiveness:
+    """The core's liveness rule, driven with explicit clocks."""
+
+    @staticmethod
+    def _pool(workers):
+        pool = LeasePool(lease_timeout=10.0)
+        pool.begin([0, 1, 2], _square)
+        for worker in workers:
+            pool.attach(worker)
+        return pool
+
+    def test_presumed_lost_worker_that_asks_again_gets_work(self):
+        pool = self._pool([0])
+        assert pool.request(0, now=0.0) == 0
+        pool.tick(now=100.0)  # the lease lapses: worker 0 presumed lost
+        assert pool.request(0, now=100.0) == 0  # it asks again
+        # ...and counts as live again: nothing runs in-process.
+        assert not pool.maybe_run_inprocess(now=100.0)
+        assert pool.outcomes == [None, None, None]
+
+    def test_pending_work_runs_inprocess_once_every_worker_is_lost(self):
+        pool = self._pool([0, 1])
+        assert pool.request(0, now=0.0) == 0
+        assert pool.request(1, now=0.0) == 1
+        # Shard 2 waits: both holders are live.
+        assert not pool.maybe_run_inprocess(now=1.0)
+        pool.tick(now=100.0)
+        # A stale heartbeat is no sign of a usable worker.
+        assert not pool.heartbeat(0, 0, now=100.0)
+        while pool.maybe_run_inprocess(now=100.0):
+            pass
+        assert pool.outcomes == [(0, None), (1, None), (4, None)]
+        assert pool.tallies["inprocess_shards"] == 3
+        assert pool.tallies["regrants"] == 2
