@@ -1,36 +1,71 @@
 """Hot-path acceleration: the DPOR state cache on x-safe-agreement.
 
-The prefix-equivalence state cache (``docs/performance.md``) lets DPOR
-recognise already-expanded states by canonical fingerprint and fold the
-redundant subtree instead of re-executing it.  This bench measures what
-that buys on the paper's own object -- Figure 6 x-safe-agreement under
-one mid-propose crash -- at n=3 and n=4:
+The prefix-equivalence state cache (``docs/performance.md``, off by
+default, enabled by ``state_cache=True``) lets DPOR recognise
+already-expanded states by canonical fingerprint and fold the redundant
+subtree instead of re-executing it.  This bench measures what that buys
+on the paper's own object -- Figure 6 x-safe-agreement under one
+mid-propose crash -- at n=3 and n=4:
 
 * *executed runs*: schedules actually replayed (``total_runs`` minus
   ``cache_skipped_runs``).  This is the quantity the cache exists to
   shrink, and the acceptance bar: >= 10x fewer executed runs at n=4.
-* *wall clock and runs/sec*: reported honestly.  At these sizes a
-  replayed run costs microseconds while fingerprinting a state costs
-  canonicalisation work, so the cache can LOSE wall-clock time here;
-  the executed-run ratio is the machine-independent signal, and the
-  wall-clock payoff arrives when a run is expensive (deeper scenarios,
-  costly checks), not on microbenchmarks.
+* *executed steps and DPOR nodes*: scheduler steps actually executed
+  (prefix replays included) and search nodes built.  These are the
+  work a run costs, and a folded leaf saves almost none of it: every
+  hit lands deep in the tree, so the cache cuts runs far more than
+  steps or nodes.
+* *wall clock and runs/sec*: reported as measured.  Fingerprinting a
+  state costs canonicalisation work at every node, which at these sizes
+  outweighs the few steps a hit saves -- the reason the cache is off by
+  default.
 
-Both modes must agree on ``ExplorationStats`` bit-for-bit -- the same
-guarantee the ``cache`` test tier (``pytest -m cache``) locks down on
-every registry scenario.
+Steps and nodes are counted in a second, instrumented run of each mode,
+so the timed runs carry no counting overhead.  Both modes must agree on
+``ExplorationStats`` bit-for-bit -- the same guarantee the ``cache``
+test tier (``pytest -m cache``) locks down on every registry scenario.
 """
 
+from contextlib import contextmanager
 from time import perf_counter
 
 from repro.analysis.metrics import ExplorationMetrics
-from repro.runtime import explore
+from repro.runtime import dpor, explore
 from repro.scenarios import build_scenario
 
 from .harness import header, write_report
 
 #: Acceptance bar: executed-run reduction at the n=4 size.
 MIN_EXECUTED_RUN_REDUCTION = 10.0
+
+
+@contextmanager
+def _counting():
+    """Count executed scheduler steps and DPOR nodes while active."""
+    counts = {"steps": 0, "nodes": 0}
+    execute, make_node = dpor._System.execute, dpor._make_node
+
+    def counted_execute(self, pid):
+        counts["steps"] += 1
+        return execute(self, pid)
+
+    def counted_make_node(*args):
+        counts["nodes"] += 1
+        return make_node(*args)
+
+    dpor._System.execute, dpor._make_node = \
+        counted_execute, counted_make_node
+    try:
+        yield counts
+    finally:
+        dpor._System.execute, dpor._make_node = execute, make_node
+
+
+def _work(n, state_cache):
+    """(executed steps, DPOR nodes) of one instrumented sweep."""
+    with _counting() as counts:
+        _sweep(n, state_cache)
+    return counts["steps"], counts["nodes"]
 
 
 def _sweep(n, state_cache):
@@ -49,7 +84,7 @@ def _sweep(n, state_cache):
 
 
 def test_hot_path_bench(benchmark):
-    """Time the cached n=3 sweep (the CLI's default configuration)."""
+    """Time the cached n=3 sweep (the ``state_cache=True`` path)."""
     stats = benchmark(lambda: _sweep(3, state_cache=True)[0])
     assert stats.complete_runs > 0
 
@@ -63,33 +98,39 @@ def test_hot_path_report():
         assert on_stats == off_stats, \
             f"n={n}: cache changed the merged statistics"
         assert off_executed == off_stats.total_runs
-        rows.append((n, off_stats, off_executed, off_secs,
-                     on_executed, on_secs))
+        rows.append((n, off_stats,
+                     (off_executed, *_work(n, False), off_secs),
+                     (on_executed, *_work(n, True), on_secs)))
 
     lines = header(
         "DPOR state-cache hot path: x-safe-agreement (x=2, 1 crash)",
         "Executed runs = schedules actually replayed (cache-on folds",
-        "the rest as proven-equivalent subtrees).  ExplorationStats are",
-        "asserted identical between modes; wall clock is reported",
-        "as measured and may favor cache-off at these tiny run costs.")
-    lines.append(f"{'n':>3} {'total_runs':>11} {'exec_off':>9} "
-                 f"{'exec_on':>8} {'exec_ratio':>10} {'t_off_s':>8} "
-                 f"{'t_on_s':>7} {'runs/s_off':>10} {'runs/s_on':>10}")
+        "the rest as proven-equivalent subtrees); steps = scheduler",
+        "steps executed, prefix replays included; nodes = DPOR search",
+        "nodes built.  ExplorationStats are asserted identical between",
+        "modes; wall clock is reported as measured.")
+    lines.append(f"{'n':>3} {'mode':>4} {'total_runs':>11} "
+                 f"{'exec_runs':>9} {'steps':>8} {'nodes':>7} "
+                 f"{'seconds':>8} {'runs/s':>7}")
     series = []
-    for n, stats, off_exec, off_secs, on_exec, on_secs in rows:
-        ratio = off_exec / on_exec if on_exec else float("inf")
-        rate_off = stats.total_runs / off_secs if off_secs > 0 else 0.0
-        rate_on = stats.total_runs / on_secs if on_secs > 0 else 0.0
-        series.append({
-            "n": n, "total_runs": stats.total_runs,
-            "executed_runs_off": off_exec, "executed_runs_on": on_exec,
-            "executed_run_reduction": ratio,
-            "seconds_off": off_secs, "seconds_on": on_secs,
-        })
-        lines.append(f"{n:>3} {stats.total_runs:>11} {off_exec:>9} "
-                     f"{on_exec:>8} {ratio:>9.1f}x {off_secs:>8.2f} "
-                     f"{on_secs:>7.2f} {rate_off:>10.0f} "
-                     f"{rate_on:>10.0f}")
+    for n, stats, off, on in rows:
+        ratio = off[0] / on[0] if on[0] else float("inf")
+        entry = {"n": n, "total_runs": stats.total_runs,
+                 "executed_run_reduction": ratio}
+        for mode, (runs, steps, nodes, secs) in (("off", off), ("on", on)):
+            entry.update({f"executed_runs_{mode}": runs,
+                          f"executed_steps_{mode}": steps,
+                          f"dpor_nodes_{mode}": nodes,
+                          f"seconds_{mode}": secs})
+            rate = stats.total_runs / secs if secs > 0 else 0.0
+            lines.append(f"{n:>3} {mode:>4} {stats.total_runs:>11} "
+                         f"{runs:>9} {steps:>8} {nodes:>7} "
+                         f"{secs:>8.2f} {rate:>7.0f}")
+        lines.append(f"{n:>3} cache on: {ratio:.1f}x fewer executed runs, "
+                     f"{100 * (1 - on[1] / off[1]):.1f}% fewer steps, "
+                     f"{100 * (1 - on[2] / off[2]):.1f}% fewer nodes, "
+                     f"{on[3] / off[3]:.2f}x the wall clock")
+        series.append(entry)
         if n == 4:
             assert ratio >= MIN_EXECUTED_RUN_REDUCTION, \
                 (f"n=4 executed-run reduction "

@@ -257,15 +257,13 @@ def cmd_check(args: argparse.Namespace) -> int:
                     jobs=jobs, reduction=reduction,
                     scenario=ScenarioRef(name, n=args.n, x=args.x),
                     metrics=metrics, deadline=deadline,
-                    state_cache=not args.no_state_cache,
                     frontier=frontier)
             else:
                 stats = explore(sc.build, sc.check,
                                 crash_plan_factory=sc.crash_plan_factory,
                                 max_steps=max_steps, max_runs=max_runs,
                                 reduction=reduction, metrics=metrics,
-                                timeout=args.timeout or None,
-                                state_cache=not args.no_state_cache)
+                                timeout=args.timeout or None)
         except CounterexampleFound as exc:
             print(f"[{name}] PROPERTY VIOLATED ({exc.stats})")
             print(exc.counterexample.describe())
@@ -696,12 +694,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         elif os.path.exists(args.checkpoint):
             os.unlink(args.checkpoint)
 
-    state_cache = not args.no_state_cache
     server = ShardServer(
         bind[0], bind[1],
         config={"scenario": name, "n": args.n, "x": args.x,
                 "max_steps": max_steps, "max_runs": max_runs,
-                "reduction": "dpor", "state_cache": state_cache},
+                "reduction": "dpor"},
         lease_timeout=args.lease_timeout,
         solo_after=args.solo_after,
         announce=lambda host, port: print(
@@ -737,7 +734,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             reduction="dpor",
             scenario=ScenarioRef(name, n=args.n, x=args.x),
             metrics=metrics, deadline=deadline,
-            state_cache=state_cache, frontier=frontier, pool=server)
+            frontier=frontier, pool=server)
     except CounterexampleFound as exc:
         print(f"[{name}] PROPERTY VIOLATED ({exc.stats})")
         print(exc.counterexample.describe())
@@ -919,11 +916,6 @@ def main(argv=None) -> int:
     p.add_argument("--naive", action="store_true",
                    help="disable partial-order reduction (enumerate "
                         "every interleaving)")
-    p.add_argument("--no-state-cache", action="store_true",
-                   help="disable the DPOR state cache (escape hatch: "
-                        "re-execute every schedule prefix instead of "
-                        "folding already-expanded states; see "
-                        "docs/performance.md)")
     p.add_argument("--jobs", default=None, metavar="N",
                    help="shard exploration across N worker processes "
                         "('auto' = cpu count); run counts are identical "
@@ -1068,9 +1060,6 @@ def main(argv=None) -> int:
                    metavar="SECONDS",
                    help="wall-clock budget; on expiry the run stops "
                         "cleanly and exits 3")
-    p.add_argument("--no-state-cache", action="store_true",
-                   help="disable the DPOR state cache (workers follow "
-                        "via the announced config)")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="journal the exploration to a durable frontier "
                         "store at PATH (fresh store); a killed serve "

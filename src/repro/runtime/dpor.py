@@ -24,8 +24,8 @@ stateless model-checking devices:
   explored from this state, and which is independent of everything
   executed since, need not be re-scheduled -- subtrees whose every
   candidate sleeps are pruned outright.
-* **State caching** (stateful DPOR): every state reached during the
-  search is fingerprinted canonically
+* **State caching** (stateful DPOR, opt-in: ``state_cache=True``):
+  every state reached during the search is fingerprinted canonically
   (:class:`repro.runtime.fingerprint.Fingerprinter`); when the search
   reaches a state it has already fully expanded under a subsumed sleep
   set and an equal-or-larger depth budget -- and skipping would be
@@ -44,6 +44,18 @@ processes are independent iff neither writes a location the other reads
 or writes.  Crash events touch no shared state and commute with
 everything.  Footprints may over-approximate (conservative) but must
 never omit an accessed location.
+
+Race checks run on *interned* footprints.  One :class:`_Footprints`
+table per exploration maps every footprint value to one canonical
+object (whether it came from the derivation memo, a fresh derivation,
+or an operation whose unhashable arguments skip the memo), and
+memoises the conflict relation on the pair of object ids.  An id key
+is sound only because the table keeps every interned footprint alive
+for the whole exploration: a footprint derived fresh and then freed
+would leave its id free for an unrelated footprint, and the memo would
+then answer for the wrong pair -- the explored tree would change from
+run to run.  ``ops.conflicts`` stays the definition; the memo only
+caches its answers.
 
 When the property ``check()`` fails on some schedule, the failing
 schedule is **shrunk** by delta debugging (:func:`shrink_schedule`): the
@@ -88,6 +100,53 @@ class _InertAdversary(Adversary):
         raise AssertionError("DPOR scheduler must not consult an adversary")
 
 
+class _Footprints:
+    """One exploration's footprints: derivation memo, intern table and
+    memoised conflict relation, shared by every :class:`_System` rebuilt
+    during the exploration.
+
+    ``derived`` maps ``(pid, obj, method, args)`` to the footprint of a
+    ``FOOTPRINT_PURE`` object's operation, so re-synced systems skip
+    re-deriving it.  ``interned`` maps every footprint value seen to one
+    canonical object, and :meth:`intern` routes every derivation through
+    it -- memo hits, memo misses, the unhashable-args path and
+    :data:`~repro.runtime.ops.EMPTY_FOOTPRINT` alike.  :meth:`conflicts`
+    then memoises :func:`~repro.runtime.ops.conflicts` on the *ids* of
+    its operands: the table holds every interned footprint until the
+    exploration ends, so an id cannot be reused by another value, and
+    the memo returns exactly what ``ops.conflicts`` would (see the
+    module docstring).  A memo keyed on the footprint values would need
+    no interning, but hashing a frozen dataclass is a Python-level call
+    per operand: with the state cache off, x-safe-agreement n=4 took a
+    median 2.75 s value-keyed against 2.13 s id-keyed (six alternating
+    runs each, 2-vCPU VM, CPython 3.11).
+    """
+
+    __slots__ = ("derived", "interned", "_pairs")
+
+    def __init__(self) -> None:
+        self.derived: Dict[Any, Optional[Footprint]] = {}
+        self.interned: Dict[Footprint, Footprint] = {
+            EMPTY_FOOTPRINT: EMPTY_FOOTPRINT}
+        self._pairs: Dict[Tuple[int, int], bool] = {}
+
+    def intern(self, fp: Optional[Footprint]) -> Optional[Footprint]:
+        """The canonical object equal to ``fp`` (None stays None)."""
+        if fp is None:
+            return None
+        return self.interned.setdefault(fp, fp)
+
+    def conflicts(self, a: Optional[Footprint],
+                  b: Optional[Footprint]) -> bool:
+        """``ops.conflicts(a, b)`` for interned ``a`` and ``b`` (or
+        None, which conflicts with everything), memoised."""
+        key = (id(a), id(b))
+        hit = self._pairs.get(key)
+        if hit is None:
+            hit = self._pairs[key] = conflicts(a, b)
+        return hit
+
+
 class _System:
     """A live system replayed step by step under explorer control.
 
@@ -98,20 +157,18 @@ class _System:
     execution returning the footprint actually exercised, and the
     ``RunResult`` of a terminal state.
 
-    ``fp_memo`` is an optional footprint memo *shared across rebuilds*
-    of one exploration: footprints are pure functions of ``(pid, obj,
-    method, args)`` for objects declaring
-    :attr:`~repro.memory.base.SharedObject.FOOTPRINT_PURE` (the
-    default), so re-synced systems skip re-deriving them -- the per-step
-    footprint dict churn the state cache is paired with eliminating.
+    ``footprints`` is the exploration's :class:`_Footprints` table,
+    *shared across rebuilds* (a fresh one when omitted): every footprint
+    this system reports is interned there, so race checks can use its
+    memoised conflict relation.
     """
 
     def __init__(self, build: Builder,
                  crash_plan_factory: Optional[Callable[[], CrashPlan]],
-                 fp_memo: Optional[Dict[Any, Optional[Footprint]]] = None
-                 ) -> None:
+                 footprints: Optional[_Footprints] = None) -> None:
         programs, store = build()
-        self._fp_memo = fp_memo if fp_memo is not None else {}
+        self.footprints = (footprints if footprints is not None
+                           else _Footprints())
         self.store = store
         self.handles = {pid: ProcessHandle(pid, gen)
                         for pid, gen in programs.items()}
@@ -161,9 +218,10 @@ class _System:
     def pending_footprint(self, pid: int) -> Optional[Footprint]:
         """Footprint of ``pid``'s next operation (None = unknown).
 
-        Memoized per ``(pid, obj, method, args)`` when the target object
-        declares its footprints pure (``FOOTPRINT_PURE``, the default);
-        unhashable arguments fall back to direct derivation.
+        Always the interned copy (see :class:`_Footprints`).  Memoized
+        per ``(pid, obj, method, args)`` when the target object declares
+        its footprints pure (``FOOTPRINT_PURE``, the default); unhashable
+        arguments fall back to direct derivation.
         """
         op = self.handles[pid].pending
         if op is None:
@@ -171,17 +229,18 @@ class _System:
         inv = op.invocation if isinstance(op, SpinOp) else op
         if not isinstance(inv, Invocation):
             return None
+        table = self.footprints
         key = (pid, inv.obj, inv.method, inv.args)
         try:
-            fp = self._fp_memo.get(key)
+            fp = table.derived.get(key)
         except TypeError:  # unhashable args: derive directly
-            return self.store.footprint(pid, inv)
+            return table.intern(self.store.footprint(pid, inv))
         if fp is not None:
             return fp
         obj = self.store[inv.obj]
-        fp = obj.footprint(pid, inv.method, inv.args)
+        fp = table.intern(obj.footprint(pid, inv.method, inv.args))
         if obj.FOOTPRINT_PURE:
-            self._fp_memo[key] = fp
+            table.derived[key] = fp
         return fp
 
     def alive_footprints(self) -> Dict[int, Optional[Footprint]]:
@@ -464,9 +523,11 @@ class _Node:
 
 def _make_node(sysm: _System, parent: Optional[_Node], pick: Optional[int],
                fp: Optional[Footprint], path: List[_Node],
-               sleep: Set[int]) -> _Node:
+               sleep: Set[int],
+               conflict: Callable[[Any, Any], bool]) -> _Node:
     """Build the node reached by executing ``pick`` (with footprint
-    ``fp``) from ``parent``; ``path`` holds the states *before* this one.
+    ``fp``) from ``parent``; ``path`` holds the states *before* this one
+    and ``conflict`` is the exploration's memoised conflict relation.
     """
     if parent is None:
         cv_proc: Dict[int, Dict[int, int]] = {}
@@ -476,7 +537,7 @@ def _make_node(sysm: _System, parent: Optional[_Node], pick: Optional[int],
         clock = dict(parent.cv_proc.get(pick, {}))
         for j in range(1, len(path)):
             step = path[j]
-            if conflicts(step.in_fp, fp):
+            if conflict(step.in_fp, fp):
                 for q, k in step.in_clock.items():
                     if clock.get(q, 0) < k:
                         clock[q] = k
@@ -490,14 +551,15 @@ def _make_node(sysm: _System, parent: Optional[_Node], pick: Optional[int],
                  sleep)
 
 
-def _update_backtracks(path: List[_Node]) -> None:
+def _update_backtracks(path: List[_Node],
+                       conflict: Callable[[Any, Any], bool]) -> None:
     """Race detection at the newly-reached state (the last node of
     ``path``): every candidate's pending step is checked against every
-    earlier executed step it conflicts with but is not already
-    happens-after; each such race plants a backtrack point at the state
-    the earlier step executed from (the candidate itself if it was
-    schedulable there, otherwise conservatively every candidate of that
-    state)."""
+    earlier executed step it conflicts with (``conflict``, the
+    exploration's memoised relation) but is not already happens-after;
+    each such race plants a backtrack point at the state the earlier
+    step executed from (the candidate itself if it was schedulable
+    there, otherwise conservatively every candidate of that state)."""
     node = path[-1]
     depth = len(path) - 1
     for p in node.candidates:
@@ -508,7 +570,7 @@ def _update_backtracks(path: List[_Node]) -> None:
             q = step.in_pid
             if q == p or j <= past.get(q, 0):
                 continue
-            if conflicts(step.in_fp, f_p):
+            if conflict(step.in_fp, f_p):
                 pre = path[j - 1]
                 if p in pre.candidates:
                     if p not in pre.done and p not in pre.sleep:
@@ -565,7 +627,8 @@ class _CacheEntry:
         self.rel_max: int = rel_max
 
 
-def _plants_are_noops(pairs, path: List[_Node], base: int) -> bool:
+def _plants_are_noops(pairs, path: List[_Node], base: int,
+                      conflict: Callable[[Any, Any], bool]) -> bool:
     """Would replaying the cached subtree plant any backtrack point the
     current path does not already semantically contain?
 
@@ -596,7 +659,7 @@ def _plants_are_noops(pairs, path: List[_Node], base: int) -> bool:
             step = path[j]
             if step.in_pid == p:
                 continue
-            if conflicts(step.in_fp, f_p):
+            if conflict(step.in_fp, f_p):
                 pre = path[j - 1]
                 if p in pre.candidates:
                     if (p not in pre.backtrack and p not in pre.done
@@ -701,14 +764,17 @@ class _StateCache:
                                   pairs, rel_max))
 
     def lookup(self, fpr: tuple, sleep: Set[int], rem: int,
-               path: List[_Node], base: int) -> Optional[_CacheEntry]:
+               path: List[_Node], base: int,
+               conflict: Callable[[Any, Any], bool]
+               ) -> Optional[_CacheEntry]:
         """First entry whose reuse here is provably exact, else None."""
         bucket = self.entries.get(fpr)
         if not bucket:
             return None
         for entry in bucket:
             if (entry.rem >= rem and entry.sleep.issubset(sleep)
-                    and _plants_are_noops(entry.pairs, path, base)):
+                    and _plants_are_noops(entry.pairs, path, base,
+                                          conflict)):
                 self.hits += 1
                 self.skipped_runs += entry.complete + entry.truncated
                 return entry
@@ -727,7 +793,7 @@ def _explore_core(build: Builder,
                   collect: bool = False,
                   counters: Optional[Dict[str, Any]] = None,
                   deadline: Optional[float] = None,
-                  state_cache: bool = True,
+                  state_cache: bool = False,
                   fingerprinter: Optional[Fingerprinter] = None
                   ) -> ExplorationStats:
     """DPOR exploration of the subtree rooted at ``prefix``.
@@ -755,7 +821,7 @@ def _explore_core(build: Builder,
     contract.
 
     ``state_cache`` enables the prefix-equivalence cache
-    (:class:`_StateCache`, default on): subtrees rooted at an
+    (:class:`_StateCache`, default off): subtrees rooted at an
     already-expanded (fingerprint, subsumed-sleep-set) state are folded
     from the cache instead of re-executed.  ``fingerprinter`` overrides
     the canonical :class:`~repro.runtime.fingerprint.Fingerprinter`
@@ -764,9 +830,11 @@ def _explore_core(build: Builder,
     """
     stats = ExplorationStats()
     cache = _StateCache(fingerprinter) if state_cache else None
-    fp_memo: Dict[Any, Optional[Footprint]] = {}
-    sysm = _System(build, crash_plan_factory, fp_memo)
-    path: List[_Node] = [_make_node(sysm, None, None, None, [], set())]
+    footprints = _Footprints()
+    conflict = footprints.conflicts
+    sysm = _System(build, crash_plan_factory, footprints)
+    path: List[_Node] = [_make_node(sysm, None, None, None, [], set(),
+                                    conflict)]
     for pid in prefix:
         node = path[-1]
         node.visited = True
@@ -776,7 +844,7 @@ def _explore_core(build: Builder,
                 f"{len(path) - 1} (candidates: {node.candidates})")
         node.done.add(pid)
         fp = sysm.execute(pid)
-        child = _make_node(sysm, node, pid, fp, path, set())
+        child = _make_node(sysm, node, pid, fp, path, set(), conflict)
         path.append(child)
     base = len(path) - 1
     path[-1].sleep = set(root_sleep)
@@ -851,7 +919,7 @@ def _explore_core(build: Builder,
         child.snap = ((stats.complete_runs, stats.truncated_runs,
                        stats.pruned_runs) + counter_snapshot())
         entry = cache.lookup(child.fpr, child.sleep, max_steps - d,
-                             path, base)
+                             path, base, conflict)
         if entry is None:
             return False
         stats.complete_runs += entry.complete
@@ -953,7 +1021,7 @@ def _explore_core(build: Builder,
             pop_top()
             continue
         if not synced:
-            sysm = _System(build, crash_plan_factory, fp_memo)
+            sysm = _System(build, crash_plan_factory, footprints)
             for n in path[1:]:
                 sysm.execute(n.in_pid)
             synced = True
@@ -962,10 +1030,11 @@ def _explore_core(build: Builder,
         child_sleep = {
             q for q in (node.sleep | node.done) - {pick}
             if q in node.pending_fps
-            and not conflicts(node.pending_fps[q], fp)}
-        child = _make_node(sysm, node, pick, fp, path, child_sleep)
+            and not conflict(node.pending_fps[q], fp)}
+        child = _make_node(sysm, node, pick, fp, path, child_sleep,
+                           conflict)
         path.append(child)
-        _update_backtracks(path)
+        _update_backtracks(path, conflict)
         if cache is not None:
             try_cache(child, node, pick, fp)
     return stats
@@ -982,7 +1051,7 @@ def explore_dpor(build: Builder,
                  prefix_factor: Optional[int] = None,
                  metrics: Optional[Any] = None,
                  deadline: Optional[float] = None,
-                 state_cache: bool = True,
+                 state_cache: bool = False,
                  fingerprinter: Optional[Fingerprinter] = None
                  ) -> ExplorationStats:
     """Explore one representative schedule per Mazurkiewicz trace.
@@ -1018,10 +1087,9 @@ def explore_dpor(build: Builder,
     :class:`~repro.runtime.explore.ExplorationInterrupted` with the
     partial statistics.
 
-    ``state_cache`` (default on) enables the prefix-equivalence state
-    cache; ``--no-state-cache`` on the CLI and ``state_cache=False``
-    here turn it off (the escape hatch the differential test tier
-    compares against).  ``fingerprinter`` injects a custom
+    ``state_cache=True`` enables the prefix-equivalence state cache
+    (default off; the path the ``cache`` differential tier compares
+    against the default).  ``fingerprinter`` injects a custom
     :class:`~repro.runtime.fingerprint.Fingerprinter` (serial engine
     only -- custom fingerprinters do not cross the worker boundary).
     """

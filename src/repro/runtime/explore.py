@@ -215,11 +215,11 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
     exploration statistics stay bit-for-bit identical whether or not
     metrics are collected.
     """
-    from .dpor import _System
+    from .dpor import _Footprints, _System
 
     stats = ExplorationStats()
-    fp_memo: Dict[Any, Any] = {}
-    sysm = _System(build, crash_plan_factory, fp_memo)
+    footprints = _Footprints()
+    sysm = _System(build, crash_plan_factory, footprints)
     for depth, pid in enumerate(root):
         cands = sysm.candidates()
         if pid not in cands:
@@ -250,7 +250,7 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
             del prefix[len(root) + len(todo) - 1:]
             pick = todo[-1].pop()
             if not synced:
-                sysm = _System(build, crash_plan_factory, fp_memo)
+                sysm = _System(build, crash_plan_factory, footprints)
                 for pid in prefix:
                     sysm.execute(pid)
                 synced = True
@@ -319,7 +319,7 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
             prefix_factor: Optional[int] = None,
             metrics: Optional[Any] = None,
             timeout: Optional[float] = None,
-            state_cache: bool = True,
+            state_cache: bool = False,
             frontier: Optional[Any] = None) -> ExplorationStats:
     """Exhaustively check every schedule of the system built by ``build``.
 
@@ -362,9 +362,9 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
     :class:`ExplorationInterrupted` carrying the partial statistics and
     the triggering reason, instead of discarding the work done so far.
 
-    ``state_cache`` (default on) enables the DPOR prefix-equivalence
+    ``state_cache`` (default off) enables the DPOR prefix-equivalence
     state cache (see ``docs/performance.md``); it is ignored by the
-    naive engine.  The CLI exposes it as ``check --no-state-cache``.
+    naive engine.  The CLI never turns it on.
 
     ``frontier`` is an optional
     :class:`repro.runtime.frontier.FrontierStore` making the

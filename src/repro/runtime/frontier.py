@@ -53,6 +53,14 @@ def _durability():
 #: Bump on any change to the header/journal line shapes.
 FRONTIER_SCHEMA_VERSION = 1
 
+#: Fingerprint keys that never change a run's statistics, ignored by
+#: :meth:`FrontierStore.validate` so stores that recorded them still
+#: resume whatever the requesting run's value.  The state cache folds
+#: subtrees without changing a count (the ``cache`` test tier compares
+#: cache-on and cache-off bit-for-bit), just as ``jobs`` -- never
+#: recorded -- changes none.
+RESULT_NEUTRAL_KEYS = frozenset({"state_cache"})
+
 #: Completions between compactions.  Compaction folds the journal into
 #: a fresh header (atomic rewrite), bounding both file size and resume
 #: replay cost; between compactions the journal grows by one small line
@@ -245,12 +253,13 @@ class FrontierStore:
         """Reject a resume whose configuration differs from the header.
 
         Compares key-by-key (both directions) so the error names every
-        differing parameter, not just the first.
+        differing parameter, not just the first; keys in
+        :data:`RESULT_NEUTRAL_KEYS` are not compared.
         """
         stored = self.fingerprint or {}
         mismatched = {
             key: (stored.get(key), fingerprint.get(key))
-            for key in set(stored) | set(fingerprint)
+            for key in (set(stored) | set(fingerprint)) - RESULT_NEUTRAL_KEYS
             if stored.get(key) != fingerprint.get(key)}
         if mismatched:
             raise FrontierMismatch(mismatched)

@@ -141,7 +141,7 @@ class _Session:
     """
 
     __slots__ = ("name", "worker_id", "conn", "frames_in", "frames_out",
-                 "reconnects", "shards")
+                 "reconnects", "shards", "asked")
 
     def __init__(self, name: str, worker_id: int) -> None:
         self.name = name
@@ -151,6 +151,8 @@ class _Session:
         self.frames_out = 0
         self.reconnects = 0
         self.shards = 0
+        #: Whether the worker ever sent a ``request``.
+        self.asked = False
 
 
 class _ConnState:
@@ -245,6 +247,7 @@ class ShardServer(LeasePool):
             return {"type": "error",
                     "reason": "unknown worker_id (hello first)"}
         if kind == "request":
+            session.asked = True
             shard = self.request(session.worker_id, now)
             if shard is not None:
                 prefix, sleep = self._payloads[shard]
@@ -354,7 +357,8 @@ class ShardServer(LeasePool):
             if deadline is not None:
                 until = min(until, deadline)
             while monotonic() < until and not all(
-                    state.done_sent for state in conns.values()):
+                    state.done_sent or self._never_asks(state)
+                    for state in conns.values()):
                 self._step(_POLL_INTERVAL, listener, selector, conns)
         finally:
             for state in list(conns.values()):
@@ -367,6 +371,15 @@ class ShardServer(LeasePool):
             selector.close()
             self._collect_worker_tallies()
         return self.outcomes
+
+    def _never_asks(self, state: _ConnState) -> bool:
+        """Is ``state`` a connection the linger need not wait for: its
+        session never asked for work and the pool presumes it lost
+        (silent a lease period)?  A lapsed lease holder has asked; it
+        may come back from its shard, so the linger waits for it."""
+        session = state.session
+        return (session is not None and not session.asked
+                and session.worker_id in self._lost)
 
     def _step(self, wait: float, listener: socket.socket, selector,
               conns) -> bool:
@@ -736,7 +749,7 @@ class ShardWorker:
                 max_steps=config.get("max_steps", 24),
                 max_runs=config.get("max_runs", 200_000),
                 reduction=config.get("reduction", "dpor"),
-                state_cache=config.get("state_cache", True))
+                state_cache=config.get("state_cache", False))
         except Exception as exc:  # noqa: BLE001 - reported to the server
             error = f"{type(exc).__name__}: {exc}"
         finally:

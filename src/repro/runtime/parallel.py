@@ -50,13 +50,12 @@ from typing import (Any, Callable, Dict, Generator, List, Optional,
                     Sequence, Tuple, Union)
 
 from .dpor import (Counterexample, CounterexampleFound, _explore_core,
-                   _System, replay_schedule, shrink_schedule)
+                   _Footprints, _System, replay_schedule, shrink_schedule)
 from .explore import (ExplorationInterrupted, ExplorationStats,
                       ShardViolation, _explore_naive, _max_runs_interrupt,
                       _past_deadline, _timeout_interrupt)
 from .lease import (DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LEASE_TIMEOUT,
                     LeaseTable)
-from .ops import conflicts
 from .run import RunResult
 
 Builder = Callable[[], Tuple[Dict[int, Generator], Any]]
@@ -189,7 +188,9 @@ class LeasePool:
 
     **Liveness.**  A worker whose lease lapses is presumed lost until it
     next asks for work or reports a result (a stale heartbeat does not
-    count: that worker is still busy with the lapsed shard).  The
+    count: that worker is still busy with the lapsed shard).  So is a
+    worker that holds no lease and has gone a lease period without a
+    message -- one that said hello and never asked for work.  The
     coordinator runs a shard itself when one failed elsewhere, or when
     work is pending and every attached worker is presumed lost --
     provided a worker was attached once, or ``solo_after`` seconds
@@ -238,6 +239,8 @@ class LeasePool:
         self._regrants: Dict[int, int] = {}
         self._attached: set = set()
         self._lost: set = set()
+        #: When each worker last said anything (attach included).
+        self._heard: Dict[int, float] = {}
         self._seen = False
         self._started = self._now()
 
@@ -254,6 +257,7 @@ class LeasePool:
     def attach(self, worker: int) -> None:
         """A worker's channel opened."""
         self._attached.add(worker)
+        self._heard[worker] = self._now()
         self._seen = True
 
     def detach(self, worker: int, lapse: bool = False) -> None:
@@ -273,6 +277,7 @@ class LeasePool:
         renewed) instead of leaking a second lease.
         """
         now = self._now() if now is None else now
+        self._heard[worker] = now
         self._lost.discard(worker)
         idx = self._leases.held_by(worker)
         if idx is not None:
@@ -290,8 +295,9 @@ class LeasePool:
     def heartbeat(self, worker: int, shard: int,
                   now: Optional[float] = None) -> bool:
         """Renew ``shard``'s lease; False when ``worker`` lost it."""
-        return self._leases.renew(shard, worker,
-                                  now=self._now() if now is None else now)
+        now = self._now() if now is None else now
+        self._heard[worker] = now
+        return self._leases.renew(shard, worker, now=now)
 
     def complete(self, worker: int, shard: int,
                  outcome: Tuple[Any, Optional[str]]) -> bool:
@@ -301,6 +307,7 @@ class LeasePool:
         real scenario error reproduces there and surfaces; a
         worker-environment fluke does not).
         """
+        self._heard[worker] = self._now()
         self._lost.discard(worker)
         if outcome[1] is not None:
             if self._leases.holder(shard) == worker:
@@ -337,11 +344,16 @@ class LeasePool:
     def tick(self, now: Optional[float] = None) -> None:
         """Sweep lapsed leases: presume the holders lost, and re-queue
         each shard until it has lapsed more than ``regrant_max`` times,
-        then hand it to the retry ladder."""
-        for lease in self._leases.expired(
-                self._now() if now is None else now):
+        then hand it to the retry ladder.  Presume lost, too, every
+        worker without a lease that has been silent a lease period."""
+        now = self._now() if now is None else now
+        for lease in self._leases.expired(now):
             self._lost.add(lease.worker)
             self._lapse(lease.shard)
+        for worker in self._attached - self._lost:
+            if (now - self._heard[worker] > self.lease_timeout
+                    and self._leases.held_by(worker) is None):
+                self._lost.add(worker)
 
     def _lapse(self, shard: int) -> None:
         self._leases.release(shard)
@@ -652,6 +664,7 @@ def _expand_frontier(build: Builder,
     from collections import deque
 
     stats = ExplorationStats()
+    footprints = _Footprints()
     open_nodes: deque = deque([((), frozenset())])
     while open_nodes and len(open_nodes) < target:
         if counters is not None and len(open_nodes) > counters.get(
@@ -663,7 +676,7 @@ def _expand_frontier(build: Builder,
         if _past_deadline(deadline):
             raise _timeout_interrupt(stats)
         stats.max_depth_seen = max(stats.max_depth_seen, len(prefix))
-        sysm = _System(build, crash_plan_factory)
+        sysm = _System(build, crash_plan_factory, footprints)
         for pid in prefix:
             sysm.execute(pid)
         cands = sysm.candidates()
@@ -699,7 +712,7 @@ def _expand_frontier(build: Builder,
         for pick in explorable:
             # Child sleep set: exactly the serial engine's rule,
             # evaluated against the footprint ``pick`` executes.
-            child_sys = _System(build, crash_plan_factory)
+            child_sys = _System(build, crash_plan_factory, footprints)
             for pid in prefix:
                 child_sys.execute(pid)
             child_sys.candidates()
@@ -707,7 +720,7 @@ def _expand_frontier(build: Builder,
             child_sleep = frozenset(
                 q for q in (set(sleep) | done) - {pick}
                 if q in pending_fps
-                and not conflicts(pending_fps[q], fp))
+                and not footprints.conflicts(pending_fps[q], fp))
             open_nodes.append((prefix + (pick,), child_sleep))
             done.add(pick)
     if counters is not None and len(open_nodes) > counters.get(
@@ -729,7 +742,7 @@ def execute_shard(build: Builder,
                   max_steps: int = 24,
                   max_runs: int = 200_000,
                   reduction: str = "dpor",
-                  state_cache: bool = True,
+                  state_cache: bool = False,
                   deadline: Optional[float] = None):
     """Explore one frontier shard; the unit of work every venue runs.
 
@@ -782,7 +795,7 @@ def explore_parallel(build: Optional[Builder] = None,
                      fault_plan: Optional[Dict[int, str]] = None,
                      metrics: Optional[Any] = None,
                      deadline: Optional[float] = None,
-                     state_cache: bool = True,
+                     state_cache: bool = False,
                      frontier: Optional[Any] = None,
                      pool: Optional[Callable[..., List[Any]]] = None
                      ) -> ExplorationStats:
@@ -818,11 +831,12 @@ def explore_parallel(build: Optional[Builder] = None,
     back, so the caller can emit a partial record instead of losing the
     coverage already paid for.
 
-    ``state_cache`` (DPOR only) enables each shard's prefix-equivalence
-    state cache.  Caches are strictly *per shard* -- a worker never sees
-    hits against a sibling shard's subtrees -- so shard statistics, and
-    therefore the merged result, stay identical for ``jobs=1`` and
-    ``jobs=N`` with the cache on exactly as with it off.
+    ``state_cache`` (DPOR only, default off) enables each shard's
+    prefix-equivalence state cache.  Caches are strictly *per shard* --
+    a worker never sees hits against a sibling shard's subtrees -- so
+    shard statistics, and therefore the merged result, stay identical
+    for ``jobs=1`` and ``jobs=N`` with the cache on exactly as with it
+    off.
 
     ``frontier`` is an optional
     :class:`repro.runtime.frontier.FrontierStore`.  When given, the
@@ -869,8 +883,9 @@ def explore_parallel(build: Optional[Builder] = None,
         {} if (metrics is not None or frontier is not None) else None)
     # Everything that fixes which state space is explored and how it is
     # sharded; a resume under any other value would merge statistics
-    # from a different exploration (jobs is deliberately absent -- the
-    # sharding contract makes it irrelevant to the result).
+    # from a different exploration (jobs and state_cache are
+    # deliberately absent -- the sharding contract and the cache's
+    # exactness make both irrelevant to the result).
     fingerprint = {
         "scenario": ([scenario.name, scenario.n, scenario.x]
                      if scenario is not None else None),
@@ -878,7 +893,6 @@ def explore_parallel(build: Optional[Builder] = None,
         "max_runs": max_runs,
         "reduction": reduction,
         "prefix_factor": prefix_factor,
-        "state_cache": bool(state_cache),
     }
     phase_start = perf_counter()
     prior_completed: Dict[int, Tuple[ExplorationStats, Dict[str, Any]]] = {}
@@ -912,11 +926,8 @@ def explore_parallel(build: Optional[Builder] = None,
             if scenario is not None:
                 resolved = scenario.resolve()
                 ctx_holder["build"] = resolved.build
-                ctx_holder["check"] = check if scenario is None \
-                    else resolved.check
-                ctx_holder["cpf"] = (crash_plan_factory
-                                     if scenario is None
-                                     else resolved.crash_plan_factory)
+                ctx_holder["check"] = resolved.check
+                ctx_holder["cpf"] = resolved.crash_plan_factory
             else:
                 ctx_holder["build"] = build
                 ctx_holder["check"] = check

@@ -32,7 +32,8 @@ from repro.analysis.metrics import ExplorationMetrics, deterministic_view
 from repro.runtime import CounterexampleFound, explore, wire
 from repro.runtime.explore import ExplorationStats
 from repro.runtime.frontier import KILL_AFTER_ENV, stats_to_dict
-from repro.runtime.netshard import ChaosProxy, ShardServer, ShardWorker
+from repro.runtime.netshard import (_LINGER, ChaosProxy, ShardServer,
+                                    ShardWorker)
 from repro.runtime.parallel import explore_parallel
 from repro.scenarios import SOUND_SCENARIOS, ScenarioRef, check_scenarios
 
@@ -589,3 +590,71 @@ class TestLiveness:
         assert server.tallies["regrants"] == 2
         assert server.tallies["inprocess_shards"] == 4
         assert server.tallies["remote_shards"] == 0
+
+    def test_hello_only_session_does_not_stall_the_run(self):
+        """A connection that says hello and never asks for work holds no
+        lease; once it has been silent a lease period it is presumed
+        lost, and the coordinator runs every shard itself instead of
+        waiting out ``solo_after``."""
+        server = ShardServer(config={"scenario": "adopt-commit"},
+                             lease_timeout=0.5, solo_after=60.0)
+        payloads = [((i,), frozenset()) for i in range(3)]
+        box = {}
+
+        def coordinate():
+            box["outcomes"] = server(
+                payloads, lambda payload: (
+                    ExplorationStats(complete_runs=1 + payload[0][0]), {}))
+
+        thread = threading.Thread(target=coordinate, daemon=True)
+        thread.start()
+        _wait_for(lambda: server.port)
+        client = _RawClient((server.host, server.port), "hello-only")
+        started = time.monotonic()
+        try:
+            thread.join(timeout=5.0)
+            finished = not thread.is_alive()
+            elapsed = time.monotonic() - started
+        finally:
+            client.close()  # unblocks a server that waits on it
+            thread.join(timeout=10.0)
+        assert finished, "the run waited on a worker that never asked"
+        assert elapsed < 5.0, elapsed
+        assert [stats.complete_runs for (stats, _), _err
+                in box["outcomes"]] == [1, 2, 3]
+        assert server.tallies["connections"] == 1
+        assert server.tallies["inprocess_shards"] == 3
+        assert server.tallies["remote_shards"] == 0
+
+    def test_linger_does_not_wait_for_a_lost_session(self):
+        """After the last settle the server lingers until every live
+        connection has been sent ``done``; a hello-only session, already
+        presumed lost, will never ask, so the server returns at once
+        instead of waiting out the whole linger."""
+        server = ShardServer(config={"scenario": "adopt-commit"},
+                             lease_timeout=0.5, solo_after=60.0)
+        payloads = [((i,), frozenset()) for i in range(3)]
+        marks = {}
+        settle = server._settle
+
+        def timed_settle(idx, outcome):
+            settle(idx, outcome)
+            marks["settled"] = time.monotonic()
+
+        server._settle = timed_settle
+
+        def coordinate():
+            server(payloads, lambda payload: (ExplorationStats(), {}))
+            marks["returned"] = time.monotonic()
+
+        thread = threading.Thread(target=coordinate, daemon=True)
+        thread.start()
+        _wait_for(lambda: server.port)
+        client = _RawClient((server.host, server.port), "hello-only")
+        try:
+            thread.join(timeout=5.0)
+        finally:
+            client.close()
+            thread.join(timeout=10.0)
+        assert "returned" in marks, "the run waited on a silent session"
+        assert marks["returned"] - marks["settled"] < _LINGER / 2, marks

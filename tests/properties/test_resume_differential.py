@@ -26,8 +26,9 @@ import pytest
 import repro
 from repro.__main__ import main
 from repro.analysis.metrics import deterministic_view
-from repro.runtime.frontier import KILL_AFTER_ENV
-from repro.scenarios import check_scenarios
+from repro.runtime.frontier import KILL_AFTER_ENV, FrontierStore
+from repro.runtime.parallel import explore_parallel
+from repro.scenarios import ScenarioRef, check_scenarios
 
 pytestmark = pytest.mark.resume
 
@@ -130,6 +131,43 @@ class TestKillResumeDifferential:
         out = str(tmp_path / "resumed.jsonl")
         assert main(["check", "adopt-commit", "--resume", store,
                      "--jobs", "4", "--metrics-out", out]) == 0
+        (record,) = _records(out)
+        assert deterministic_view(record) == reference
+
+    def test_store_written_with_the_state_cache_resumes_by_default(
+            self, tmp_path, capsys):
+        # The state cache changes no count, so it is not part of the
+        # resume fingerprint: a store written with the cache on --
+        # its header still naming ``state_cache``, as stores did while
+        # the cache was the default -- resumes under the cache-off
+        # default, re-runs the shards it lost and matches the reference.
+        _, reference = _reference("adopt-commit", tmp_path)
+        sc = check_scenarios()["adopt-commit"]
+        store = str(tmp_path / "frontier.jsonl")
+        explore_parallel(crash_plan_factory=sc.crash_plan_factory,
+                         max_steps=sc.max_steps, max_runs=sc.max_runs,
+                         jobs=1, reduction="dpor",
+                         scenario=ScenarioRef("adopt-commit"),
+                         state_cache=True, frontier=FrontierStore(store))
+        with open(store) as handle:
+            header, *journal = [json.loads(line) for line in handle
+                                if line.strip()]
+        header["fingerprint"]["state_cache"] = True
+        header["completed"] = {idx: entry for idx, entry
+                               in header.get("completed", {}).items()
+                               if int(idx) % 2 == 0}
+        journal = [record for record in journal
+                   if record.get("kind") != "complete"
+                   or record["shard"] % 2 == 0]
+        with open(store, "w") as handle:
+            for record in [header, *journal]:
+                handle.write(json.dumps(record) + "\n")
+        assert len(header["shards"]) > 1  # some shard really re-runs
+        capsys.readouterr()
+        out = str(tmp_path / "resumed.jsonl")
+        assert main(["check", "adopt-commit", "--resume", store,
+                     "--jobs", "1", "--metrics-out", out]) == 0
+        assert "resuming from" in capsys.readouterr().out
         (record,) = _records(out)
         assert deterministic_view(record) == reference
 

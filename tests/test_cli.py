@@ -219,6 +219,17 @@ class TestMetricsFlags:
                                      sort_keys=True)
         assert views["1"] == views["4"]
 
+    def test_check_runs_without_the_state_cache(self, tmp_path):
+        """``check`` takes the cache-off DPOR path (the ``cache`` tier
+        proves the cache changes no count, and it is slower): its
+        record counts no cache hits."""
+        out_path = str(tmp_path / "check.jsonl")
+        assert main(["check", "x-safe-agreement", "--n", "3",
+                     "--metrics-out", out_path]) == 0
+        (record,) = self._records(out_path)
+        assert record["cache_hits"] == 0
+        assert record["cache_skipped_runs"] == 0
+
     def test_violation_record_carries_shrunk_counterexample(self,
                                                             tmp_path,
                                                             capsys):
