@@ -12,7 +12,8 @@ Commands:
   ALL interleavings (DPOR-accelerated); exit 0 = property holds,
   1 = counterexample found (printed shrunk), 2 = configuration error,
   3 = a ``--timeout`` / ``--max-runs`` budget interrupted the sweep
-  (partial coverage, no violation found so far).
+  (partial coverage, no violation found so far), 4 = an error that is
+  no verdict (a shard that failed on every attempt, a diverged replay).
   ``check --list`` enumerates the registered scenarios.  ``--metrics``
   prints a per-scenario observability summary; ``--metrics-out PATH``
   writes one JSON-lines run record per scenario (atomically; see
@@ -26,7 +27,8 @@ Commands:
   rewrites it atomically).
 * ``audit NAME``    -- dynamic footprint-soundness audit of a named
   scenario (every executed operation is checked against the footprint
-  it declares to DPOR); exit codes mirror ``check``.
+  it declares to DPOR); exit codes mirror ``check`` (3 = a run
+  exhausted ``--max-steps``).
 * ``mutants``       -- mutation-soundness harness: run every planted
   protocol mutant (see ``repro.mutants`` and docs/fault_injection.md)
   and verify the expected detection stage catches it; exit 0 only when
@@ -127,203 +129,234 @@ def _emit_metrics(records, show_table: bool,
         write_jsonl(out_path, records)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    """Exhaustively check one named scenario (or ``all`` sound ones)."""
+def _resolve_scenario(name: str, args: argparse.Namespace):
+    """The scenario ``name`` denotes at ``--n``/``--x``, or ``None``.
+
+    Registry names and synthesized ``generated:SEED:INDEX`` names
+    resolve alike (see :func:`repro.scenarios.build_scenario`); on an
+    unknown name the error is printed and ``None`` returned.
+    """
+    from .scenarios import build_scenario
+    try:
+        return build_scenario(name, n=args.n, x=args.x)
+    except KeyError as exc:
+        print(f"{args.command}: {exc.args[0]}", file=sys.stderr)
+        return None
+
+
+def _budgets(sc, args: argparse.Namespace):
+    """``(max_steps, max_runs)``: the flags, else the scenario's own."""
+    return args.max_steps or sc.max_steps, args.max_runs or sc.max_runs
+
+
+def _open_frontier(name: str, args: argparse.Namespace):
+    """The frontier store ``--checkpoint``/``--resume`` name, if any.
+
+    Returns ``(store, rejection)``.  A resume names a store the user
+    believes exists; silently starting fresh would hide a typo'd path
+    (or a lost disk) behind a full re-exploration, so a missing or
+    unreadable store is a rejection, exactly like a fingerprint
+    mismatch.
+    """
     import os
 
-    from .runtime import (CounterexampleFound, ExplorationInterrupted,
-                          FrontierMismatch, FrontierStore, explore)
-    from .runtime.parallel import explore_parallel
-    from .scenarios import SOUND_SCENARIOS, ScenarioRef, check_scenarios
+    from .runtime import FrontierStore
+    path = args.checkpoint or args.resume
+    if not path:
+        return None, None
+    frontier = FrontierStore(path)
+    if args.checkpoint:
+        # --checkpoint starts a fresh exploration; continuing an
+        # existing store is what --resume is for.
+        if os.path.exists(path):
+            os.unlink(path)
+        return frontier, None
+    if not frontier.exists():
+        return None, f"no frontier store at {path}"
+    try:
+        frontier.load()
+    except (OSError, ValueError) as exc:
+        return None, f"unreadable frontier store {path}: {exc}"
+    print(f"[{name}] resuming from {path}")
+    return frontier, None
 
-    jobs, jobs_error = _resolve_jobs_arg(args.jobs)
-    if jobs_error is not None:
-        print(f"check: {jobs_error}", file=sys.stderr)
-        return 2
-    checkpoint_path = args.checkpoint or args.resume
+
+def _outcome_ladder(name: str, exc: BaseException, metrics=None):
+    """Report how a run of scenario ``name`` ended in ``exc``.
+
+    The one outcome ladder of ``check``, ``serve`` and ``audit``: prints
+    the verdict, records it on ``metrics`` (an exploration collector,
+    when given), and returns ``(exit code, record outcome)`` -- the
+    outcome is ``None`` when no record is due (a rejected resume).
+    Exit codes: 1 violation, 2 resume rejected, 3 budget interrupt, 4
+    any other error.
+    """
+    from .lint import FootprintViolation
+    from .runtime import (CounterexampleFound, ExplorationInterrupted,
+                          FrontierMismatch)
+    if isinstance(exc, CounterexampleFound):
+        cex = exc.counterexample
+        print(f"[{name}] PROPERTY VIOLATED ({exc.stats})")
+        print(cex.describe())
+        if metrics is not None:
+            if exc.stats is not None:
+                metrics.record_stats(exc.stats)
+            metrics.record_violation(error_type=type(cex.error).__name__,
+                                     prefix=cex.prefix,
+                                     schedule=cex.schedule)
+            if not metrics.ddmin_replays:
+                metrics.ddmin_replays = cex.ddmin_attempts
+        return 1, "violation"
+    if isinstance(exc, AssertionError):
+        # The naive engine reports the bare failure; only DPOR shrinks
+        # it to a replayable counterexample.
+        print(f"[{name}] PROPERTY VIOLATED: {exc}")
+        print(f"[{name}] (rerun without --naive for a shrunk "
+              f"counterexample)")
+        if metrics is not None:
+            metrics.record_violation(error_type=type(exc).__name__)
+        return 1, "violation"
+    if isinstance(exc, FootprintViolation):
+        print(f"[{name}] FOOTPRINT VIOLATION")
+        print(exc)
+        return 1, "violation"
+    if isinstance(exc, ExplorationInterrupted):
+        # Graceful degradation: a budget stopped the run before the
+        # work was done.  Partial coverage is reported (flagged
+        # ``"partial": true`` in an exploration record) under its own
+        # exit code, apart from "found a violation" (1) and "bad
+        # invocation" (2).
+        print(f"[{name}] INTERRUPTED ({exc.reason}): {exc}",
+              file=sys.stderr)
+        if metrics is not None:
+            metrics.record_interrupted(exc.reason, exc.stats)
+        return 3, "interrupted"
+    if isinstance(exc, FrontierMismatch):
+        # Resuming under a different configuration would merge
+        # statistics from two different state spaces.
+        print(f"[{name}] RESUME REJECTED: {exc}", file=sys.stderr)
+        return 2, None
+    # A shard that failed on every attempt, a diverged replay: an
+    # error, which no budget explains.
+    print(f"[{name}] ERROR ({type(exc).__name__}): {exc}",
+          file=sys.stderr)
+    if metrics is not None:
+        metrics.record_error()
+    return 4, "error"
+
+
+def _explore_scenario(name: str, sc, args: argparse.Namespace,
+                      records: list, *, jobs: Optional[int],
+                      reduction: str, pool=None) -> int:
+    """Exhaustively explore one resolved scenario; returns the exit code.
+
+    The one exploration path of ``check`` and ``serve``.  ``jobs=None``
+    runs the serial engine; any other value (``--checkpoint`` and
+    ``--resume`` imply 1) runs the sharded engine, on ``pool`` when
+    given (``serve`` passes its :class:`~repro.runtime.ShardServer`).
+    The metrics record, if ``--metrics``/``--metrics-out`` asked for
+    one, is appended to ``records``.
+    """
+    from time import monotonic, perf_counter
+
+    from .runtime import ShardServer, explore, explore_parallel
+    from .scenarios import ScenarioRef
+
     if args.checkpoint and args.resume:
-        print("check: --checkpoint and --resume are mutually exclusive "
-              "(--resume continues the store it names)", file=sys.stderr)
+        print(f"{args.command}: --checkpoint and --resume are mutually "
+              f"exclusive (--resume continues the store it names)",
+              file=sys.stderr)
         return 2
-    if checkpoint_path and jobs is None:
+    if jobs is None and (args.checkpoint or args.resume):
         # Durability is a property of the sharded engine; jobs=1 keeps
         # serial-speed execution while the frontier store journals it.
         jobs = 1
-    scenarios = check_scenarios(n=args.n, x=args.x)
-    if args.list or args.scenario in (None, "list"):
-        if args.scenario is None and not args.list:
-            print("no scenario given; registered scenarios "
-                  "(also: --list):", file=sys.stderr)
-        for name, sc in scenarios.items():
-            print(f"{name:18s} {sc.description}")
-        print(f"{'generated:S:I':18s} [generative] explorable "
-              f"configuration I of sweep batch S (synthesized; see "
-              f"'sweep --describe' and docs/generative_sweep.md)")
-        return 0 if (args.list or args.scenario == "list") else 2
-    if args.scenario == "all":
-        names = list(SOUND_SCENARIOS)
-    elif args.scenario in scenarios:
-        names = [args.scenario]
-    elif args.scenario.startswith("generated:"):
-        # Synthesized scenarios resolve through the generative grammar;
-        # the ref round-trips by name, so --jobs sharding is unchanged.
-        from .scenarios import build_scenario
-        try:
-            scenarios[args.scenario] = build_scenario(args.scenario)
-        except KeyError as exc:
-            print(f"check: {exc.args[0]}", file=sys.stderr)
-            return 2
-        names = [args.scenario]
-    else:
-        print(f"unknown scenario {args.scenario!r}; try "
-              f"'--list' or one of: {', '.join(scenarios)}",
-              file=sys.stderr)
+    max_steps, max_runs = _budgets(sc, args)
+    print(f"[{name}] {sc.description}")
+    extra = f", jobs={jobs}" if jobs is not None else ""
+    print(f"[{name}] exploring ({reduction}, max_steps={max_steps}, "
+          f"max_runs={max_runs}{extra}) ...", flush=True)
+    frontier, rejection = _open_frontier(name, args)
+    if rejection is not None:
+        print(f"[{name}] RESUME REJECTED: {rejection}", file=sys.stderr)
         return 2
-
-    if checkpoint_path and len(names) != 1:
-        print("check: --checkpoint/--resume journal exactly one "
-              "scenario per store (not 'all')", file=sys.stderr)
-        return 2
-    if args.checkpoint and os.path.exists(args.checkpoint):
-        # --checkpoint starts a fresh exploration; continuing an
-        # existing store is what --resume is for.
-        os.unlink(args.checkpoint)
-
-    reduction = "naive" if args.naive else "dpor"
-    collect_metrics = args.metrics or args.metrics_out
-    records = []
-    exit_code = 0
-    for name in names:
-        sc = scenarios[name]
-        max_steps = args.max_steps or sc.max_steps
-        max_runs = args.max_runs or sc.max_runs
-        print(f"[{name}] {sc.description}")
-        extra = f", jobs={jobs}" if jobs is not None else ""
-        print(f"[{name}] exploring ({reduction}, max_steps={max_steps}, "
-              f"max_runs={max_runs}{extra}) ...")
-        metrics = None
-        if collect_metrics:
-            from time import perf_counter
-
-            from .analysis.metrics import ExplorationMetrics
-            metrics = ExplorationMetrics(scenario=name, engine=reduction,
-                                         jobs=jobs if jobs else 1)
-            wall_start = perf_counter()
-
-        def settle_metrics():
-            if metrics is not None:
-                records.append(metrics.finalize(
-                    perf_counter() - wall_start).to_dict())
-        try:
-            if jobs is not None:
-                from time import monotonic
-
-                # Workers rebuild the scenario by name (closures do not
-                # pickle); the ref pins the CLI's sizing flags.  The
-                # wall-clock budget ships as an absolute monotonic
-                # deadline, valid across fork on Linux.
-                deadline = (monotonic() + args.timeout
-                            if args.timeout else None)
-                frontier = None
-                if checkpoint_path:
-                    frontier = FrontierStore(checkpoint_path)
-                    if args.resume:
-                        # A resume names a store the user believes
-                        # exists; silently starting fresh would hide a
-                        # typo'd path (or a lost disk) behind a full
-                        # re-exploration.  Reject missing and
-                        # unreadable stores exactly like a fingerprint
-                        # mismatch: loudly, exit 2.
-                        if not frontier.exists():
-                            print(f"[{name}] RESUME REJECTED: no "
-                                  f"frontier store at "
-                                  f"{checkpoint_path}", file=sys.stderr)
-                            exit_code = max(exit_code, 2)
-                            continue
-                        try:
-                            frontier.load()
-                        except (OSError, ValueError) as exc:
-                            print(f"[{name}] RESUME REJECTED: "
-                                  f"unreadable frontier store "
-                                  f"{checkpoint_path}: {exc}",
-                                  file=sys.stderr)
-                            exit_code = max(exit_code, 2)
-                            continue
-                        print(f"[{name}] resuming from "
-                              f"{checkpoint_path}")
-                stats = explore_parallel(
-                    crash_plan_factory=sc.crash_plan_factory,
-                    max_steps=max_steps, max_runs=max_runs,
-                    jobs=jobs, reduction=reduction,
-                    scenario=ScenarioRef(name, n=args.n, x=args.x),
-                    metrics=metrics, deadline=deadline,
-                    frontier=frontier)
-            else:
-                stats = explore(sc.build, sc.check,
-                                crash_plan_factory=sc.crash_plan_factory,
-                                max_steps=max_steps, max_runs=max_runs,
-                                reduction=reduction, metrics=metrics,
-                                timeout=args.timeout or None)
-        except CounterexampleFound as exc:
-            print(f"[{name}] PROPERTY VIOLATED ({exc.stats})")
-            print(exc.counterexample.describe())
-            if metrics is not None:
-                if exc.stats is not None:
-                    metrics.record_stats(exc.stats)
-                metrics.record_violation(
-                    error_type=type(exc.counterexample.error).__name__,
-                    prefix=exc.counterexample.prefix,
-                    schedule=exc.counterexample.schedule)
-                if not metrics.ddmin_replays:
-                    metrics.ddmin_replays = \
-                        exc.counterexample.ddmin_attempts
-                settle_metrics()
-            exit_code = max(exit_code, 1)
-            continue
-        except AssertionError as exc:
-            # The naive engine reports the bare failure; only DPOR
-            # shrinks it to a replayable counterexample.
-            print(f"[{name}] PROPERTY VIOLATED: {exc}")
-            print(f"[{name}] (rerun without --naive for a shrunk "
-                  f"counterexample)")
-            if metrics is not None:
-                metrics.record_violation(error_type=type(exc).__name__)
-                settle_metrics()
-            exit_code = max(exit_code, 1)
-            continue
-        except ExplorationInterrupted as exc:
-            # Graceful degradation: the budget stopped the sweep before
-            # the tree was done.  Partial coverage is reported (flagged
-            # ``"partial": true`` in the metrics record) and the
-            # distinct exit code 3 separates "ran out of budget" from
-            # "found a violation" (1) and "bad invocation" (2).
-            print(f"[{name}] INTERRUPTED ({exc.reason}): {exc}",
-                  file=sys.stderr)
-            if metrics is not None:
-                metrics.record_interrupted(exc.reason, exc.stats)
-                settle_metrics()
-            exit_code = max(exit_code, 3)
-            continue
-        except FrontierMismatch as exc:
-            # Resuming under a different configuration would merge
-            # statistics from two different state spaces; reject like
-            # a mismatched sweep --resume seed (exit 2).
-            print(f"[{name}] RESUME REJECTED: {exc}", file=sys.stderr)
-            exit_code = max(exit_code, 2)
-            continue
-        except RuntimeError as exc:
-            print(f"[{name}] BUDGET EXCEEDED: {exc}", file=sys.stderr)
-            if metrics is not None:
-                metrics.record_budget_exceeded()
-                settle_metrics()
-            exit_code = max(exit_code, 2)
-            continue
-        settle_metrics()
+    metrics = None
+    if args.metrics or args.metrics_out:
+        from .analysis.metrics import ExplorationMetrics
+        metrics = ExplorationMetrics(scenario=name, engine=reduction,
+                                     jobs=jobs or 1)
+    wall_start = perf_counter()
+    try:
+        if jobs is None:
+            stats = explore(sc.build, sc.check,
+                            crash_plan_factory=sc.crash_plan_factory,
+                            max_steps=max_steps, max_runs=max_runs,
+                            reduction=reduction, metrics=metrics,
+                            timeout=args.timeout or None)
+        else:
+            # Workers rebuild the scenario by name (closures do not
+            # pickle); the ref pins the CLI's sizing flags.  The
+            # wall-clock budget ships as an absolute monotonic
+            # deadline, valid across fork on Linux.
+            stats = explore_parallel(
+                crash_plan_factory=sc.crash_plan_factory,
+                max_steps=max_steps, max_runs=max_runs, jobs=jobs,
+                reduction=reduction,
+                scenario=ScenarioRef(name, n=args.n, x=args.x),
+                metrics=metrics, frontier=frontier, pool=pool,
+                deadline=(monotonic() + args.timeout
+                          if args.timeout else None))
+        exit_code, outcome = 0, "passed"
+    except (AssertionError, RuntimeError) as exc:
+        exit_code, outcome = _outcome_ladder(name, exc, metrics)
+    if metrics is not None and outcome is not None:
+        if isinstance(pool, ShardServer):
+            metrics.record_network(pool.tallies)
+        records.append(
+            metrics.finalize(perf_counter() - wall_start).to_dict())
+    if exit_code == 0:
         if stats.truncated_runs:
             print(f"[{name}] PASSED up to depth {max_steps} "
                   f"(bounded: {stats})")
         else:
             print(f"[{name}] PASSED: {stats}")
+    return exit_code
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    """Exhaustively check one named scenario (or ``all`` sound ones)."""
+    from .scenarios import SOUND_SCENARIOS, check_scenarios
+
+    jobs, jobs_error = _resolve_jobs_arg(args.jobs)
+    if jobs_error is not None:
+        print(f"check: {jobs_error}", file=sys.stderr)
+        return 2
+    if args.list or args.scenario in (None, "list"):
+        if args.scenario is None and not args.list:
+            print("no scenario given; registered scenarios "
+                  "(also: --list):", file=sys.stderr)
+        for name, sc in check_scenarios(n=args.n, x=args.x).items():
+            print(f"{name:18s} {sc.description}")
+        print(f"{'generated:S:I':18s} [generative] explorable "
+              f"configuration I of sweep batch S (synthesized; see "
+              f"'sweep --describe' and docs/generative_sweep.md)")
+        return 0 if (args.list or args.scenario == "list") else 2
+    names = (list(SOUND_SCENARIOS) if args.scenario == "all"
+             else [args.scenario])
+    if (args.checkpoint or args.resume) and len(names) != 1:
+        print("check: --checkpoint/--resume journal exactly one "
+              "scenario per store (not 'all')", file=sys.stderr)
+        return 2
+
+    reduction = "naive" if args.naive else "dpor"
+    records: list = []
+    exit_code = 0
+    for name in names:
+        sc = _resolve_scenario(name, args)
+        if sc is None:
+            return 2
+        exit_code = max(exit_code, _explore_scenario(
+            name, sc, args, records, jobs=jobs, reduction=reduction))
     _emit_metrics(records, args.metrics, args.metrics_out)
     return exit_code
 
@@ -394,64 +427,49 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     """Dynamically audit footprint declarations over a scenario."""
-    from .lint import FootprintViolation, audit_scenario
+    from time import perf_counter
+
+    from .lint import audit_scenario
     from .scenarios import check_scenarios
 
     jobs, jobs_error = _resolve_jobs_arg(args.jobs)
     if jobs_error is not None:
         print(f"audit: {jobs_error}", file=sys.stderr)
         return 2
-    scenarios = check_scenarios(n=args.n, x=args.x)
-    if args.scenario == "all":
-        names = list(scenarios)
-    elif args.scenario in scenarios:
-        names = [args.scenario]
-    else:
-        print(f"unknown scenario {args.scenario!r}; one of: "
-              f"all, {', '.join(scenarios)}", file=sys.stderr)
-        return 2
+    names = (list(check_scenarios(n=args.n, x=args.x))
+             if args.scenario == "all" else [args.scenario])
 
-    collect_metrics = args.metrics or args.metrics_out
     records = []
     exit_code = 0
     for name in names:
-        sc = scenarios[name]
-        if collect_metrics:
-            from time import perf_counter
-
-            from .analysis.metrics import RunMetrics
-            wall_start = perf_counter()
-
-        def settle_metrics(outcome, report=None):
-            if not collect_metrics:
-                return
-            data = {"outcome": outcome, "jobs": jobs if jobs else 1,
-                    "wall_seconds": perf_counter() - wall_start}
-            if report is not None:
-                # Adversary reprs carry the seeds (see lint.audit):
-                # the record alone reproduces a randomized audit.
-                data.update(runs=report.runs,
-                            audited_ops=report.audited_ops,
-                            adversaries=list(report.adversaries))
-            records.append(
-                RunMetrics(kind="audit", name=name, data=data).to_dict())
+        sc = _resolve_scenario(name, args)
+        if sc is None:
+            return 2
+        wall_start = perf_counter()
+        detail = {}
         try:
             report = audit_scenario(sc, max_steps=args.max_steps,
                                     perturb=not args.no_perturb,
                                     jobs=jobs)
-        except FootprintViolation as exc:
-            print(f"[{name}] FOOTPRINT VIOLATION")
-            print(exc)
-            settle_metrics("violation")
-            exit_code = max(exit_code, 1)
-            continue
-        except RuntimeError as exc:
-            print(f"[{name}] BUDGET EXCEEDED: {exc}", file=sys.stderr)
-            settle_metrics("budget_exceeded")
-            exit_code = max(exit_code, 2)
-            continue
-        settle_metrics("passed", report)
-        print(f"[{name}] AUDIT PASSED: {report}")
+        except (AssertionError, RuntimeError) as exc:
+            code, outcome = _outcome_ladder(name, exc)
+            if outcome == "interrupted":
+                detail = {"interrupt_reason": exc.reason}
+        else:
+            code, outcome = 0, "passed"
+            print(f"[{name}] AUDIT PASSED: {report}")
+            # Adversary reprs carry the seeds (see lint.audit): the
+            # record alone reproduces a randomized audit.
+            detail = {"runs": report.runs,
+                      "audited_ops": report.audited_ops,
+                      "adversaries": list(report.adversaries)}
+        exit_code = max(exit_code, code)
+        if outcome is not None and (args.metrics or args.metrics_out):
+            from .analysis.metrics import RunMetrics
+            data = {"outcome": outcome, "jobs": jobs if jobs else 1,
+                    "wall_seconds": perf_counter() - wall_start, **detail}
+            records.append(
+                RunMetrics(kind="audit", name=name, data=data).to_dict())
     _emit_metrics(records, args.metrics, args.metrics_out)
     return exit_code
 
@@ -629,154 +647,40 @@ def _parse_hostport(value: str, flag: str):
 def cmd_serve(args: argparse.Namespace) -> int:
     """Coordinate one scenario's exploration over a TCP shard service.
 
-    Binds ``--bind HOST:PORT`` (port 0 = ephemeral; the bound address
-    is printed as ``[serve] listening on HOST:PORT`` before any shard
-    runs), serves frontier shards to ``python -m repro worker``
-    clients, and degrades to in-process execution when no workers show
-    up (or all of them vanish).  Exit codes mirror ``check``: 0 pass,
-    1 violation, 2 configuration error, 3 budget interrupt.  With
-    ``--checkpoint``/``--resume`` the run is durable exactly like
-    ``check --checkpoint`` -- the store fingerprint excludes the
-    transport, so a killed ``serve`` resumes under a plain ``check
-    --resume`` and vice versa.
+    Binds ``--bind HOST:PORT`` (port 0 = ephemeral, announced as
+    ``[serve] listening on HOST:PORT``) and serves shards to ``worker``
+    clients, running them in-process when none show up.  The rest, exit
+    codes and the transport-agnostic ``--resume`` included, is
+    ``check``'s path (:func:`_explore_scenario`).
     """
-    import os
-
-    from .runtime import (CounterexampleFound, ExplorationInterrupted,
-                          FrontierMismatch, FrontierStore)
-    from .runtime.netshard import ShardServer
-    from .runtime.parallel import explore_parallel
-    from .scenarios import ScenarioRef, check_scenarios
+    from .runtime import ShardServer
 
     bind, bind_error = _parse_hostport(args.bind, "--bind")
     if bind_error is not None:
         print(f"serve: {bind_error}", file=sys.stderr)
         return 2
-    checkpoint_path = args.checkpoint or args.resume
-    if args.checkpoint and args.resume:
-        print("serve: --checkpoint and --resume are mutually exclusive",
-              file=sys.stderr)
+    sc = _resolve_scenario(args.scenario, args)
+    if sc is None:
         return 2
-    scenarios = check_scenarios(n=args.n, x=args.x)
-    name = args.scenario
-    if name not in scenarios:
-        if name.startswith("generated:"):
-            from .scenarios import build_scenario
-            try:
-                scenarios[name] = build_scenario(name)
-            except KeyError as exc:
-                print(f"serve: {exc.args[0]}", file=sys.stderr)
-                return 2
-        else:
-            print(f"unknown scenario {name!r}; try 'check --list'",
-                  file=sys.stderr)
-            return 2
-    sc = scenarios[name]
-    max_steps = args.max_steps or sc.max_steps
-    max_runs = args.max_runs or sc.max_runs
-
-    frontier = None
-    if checkpoint_path:
-        frontier = FrontierStore(checkpoint_path)
-        if args.resume:
-            if not frontier.exists():
-                print(f"[{name}] RESUME REJECTED: no frontier store "
-                      f"at {checkpoint_path}", file=sys.stderr)
-                return 2
-            try:
-                frontier.load()
-            except (OSError, ValueError) as exc:
-                print(f"[{name}] RESUME REJECTED: unreadable frontier "
-                      f"store {checkpoint_path}: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(f"[{name}] resuming from {checkpoint_path}")
-        elif os.path.exists(args.checkpoint):
-            os.unlink(args.checkpoint)
-
+    max_steps, max_runs = _budgets(sc, args)
     server = ShardServer(
         bind[0], bind[1],
-        config={"scenario": name, "n": args.n, "x": args.x,
+        config={"scenario": args.scenario, "n": args.n, "x": args.x,
                 "max_steps": max_steps, "max_runs": max_runs,
                 "reduction": "dpor"},
-        lease_timeout=args.lease_timeout,
-        solo_after=args.solo_after,
+        lease_timeout=args.lease_timeout, solo_after=args.solo_after,
         announce=lambda host, port: print(
             f"[serve] listening on {host}:{port}", flush=True))
-
-    collect_metrics = args.metrics or args.metrics_out
-    metrics = None
-    records = []
-    if collect_metrics:
-        from time import perf_counter
-
-        from .analysis.metrics import ExplorationMetrics
-        metrics = ExplorationMetrics(scenario=name, engine="dpor",
-                                     jobs=1)
-        wall_start = perf_counter()
-
-    def settle_metrics():
-        if metrics is not None:
-            metrics.record_network(server.tallies)
-            records.append(metrics.finalize(
-                perf_counter() - wall_start).to_dict())
-            _emit_metrics(records, args.metrics, args.metrics_out)
-
-    from time import monotonic
-    deadline = monotonic() + args.timeout if args.timeout else None
-    print(f"[{name}] {sc.description}")
-    print(f"[{name}] serving shards (dpor, max_steps={max_steps}, "
-          f"max_runs={max_runs}) ...", flush=True)
-    try:
-        stats = explore_parallel(
-            crash_plan_factory=sc.crash_plan_factory,
-            max_steps=max_steps, max_runs=max_runs, jobs=1,
-            reduction="dpor",
-            scenario=ScenarioRef(name, n=args.n, x=args.x),
-            metrics=metrics, deadline=deadline,
-            frontier=frontier, pool=server)
-    except CounterexampleFound as exc:
-        print(f"[{name}] PROPERTY VIOLATED ({exc.stats})")
-        print(exc.counterexample.describe())
-        if metrics is not None:
-            if exc.stats is not None:
-                metrics.record_stats(exc.stats)
-            metrics.record_violation(
-                error_type=type(exc.counterexample.error).__name__,
-                prefix=exc.counterexample.prefix,
-                schedule=exc.counterexample.schedule)
-            if not metrics.ddmin_replays:
-                metrics.ddmin_replays = exc.counterexample.ddmin_attempts
-            settle_metrics()
-        return 1
-    except ExplorationInterrupted as exc:
-        print(f"[{name}] INTERRUPTED ({exc.reason}): {exc}",
-              file=sys.stderr)
-        if metrics is not None:
-            metrics.record_interrupted(exc.reason, exc.stats)
-            settle_metrics()
-        return 3
-    except FrontierMismatch as exc:
-        print(f"[{name}] RESUME REJECTED: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"[{name}] BUDGET EXCEEDED: {exc}", file=sys.stderr)
-        if metrics is not None:
-            metrics.record_budget_exceeded()
-            settle_metrics()
-        return 2
-    settle_metrics()
+    records: list = []
+    exit_code = _explore_scenario(args.scenario, sc, args, records,
+                                  jobs=1, reduction="dpor", pool=server)
     tallies = server.tallies
     print(f"[serve] {tallies['remote_shards']} shard(s) remote, "
           f"{tallies['inprocess_shards']} in-process, "
           f"{tallies['reconnects']} reconnect(s), "
           f"{tallies['stale_rejections']} stale rejection(s)")
-    if stats.truncated_runs:
-        print(f"[{name}] PASSED up to depth {max_steps} "
-              f"(bounded: {stats})")
-    else:
-        print(f"[{name}] PASSED: {stats}")
-    return 0
+    _emit_metrics(records, args.metrics, args.metrics_out)
+    return exit_code
 
 
 def _worker_session(spec: dict) -> dict:
@@ -866,6 +770,47 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _add_exploration_args(p: argparse.ArgumentParser) -> None:
+    """The flags ``check`` and ``serve`` share (one exploration path)."""
+    p.add_argument("--n", type=int, default=3,
+                   help="process count for sized scenarios (default 3)")
+    p.add_argument("--x", type=int, default=2,
+                   help="consensus number x for x-safe-agreement "
+                        "(default 2)")
+    p.add_argument("--max-steps", type=int, default=0,
+                   help="override the scenario's depth bound")
+    p.add_argument("--max-runs", type=int, default=0,
+                   help="override the scenario's run budget")
+    p.add_argument("--timeout", type=float, default=0.0,
+                   metavar="SECONDS",
+                   help="wall-clock budget per scenario; on expiry the "
+                        "sweep stops cleanly, emits a partial metrics "
+                        "record, and exits 3")
+    p.add_argument("--checkpoint", default=None, metavar="PATH",
+                   help="journal the exploration to a durable frontier "
+                        "store at PATH (fresh store; overwrites an "
+                        "existing one -- see --resume), so a killed run "
+                        "can continue under 'check --resume' or 'serve "
+                        "--resume' alike: the store is transport-"
+                        "agnostic (see docs/resumable_exploration.md)")
+    p.add_argument("--resume", default=None, metavar="PATH",
+                   help="continue an interrupted --checkpoint "
+                        "exploration from the frontier store at PATH "
+                        "(exit 2 if the store is missing, unreadable, "
+                        "or its configuration fingerprint does not "
+                        "match this invocation); final statistics are "
+                        "bit-for-bit identical to an uninterrupted run")
+    p.add_argument("--metrics", action="store_true",
+                   help="print a per-scenario observability summary "
+                        "(phases, prune/sleep rates, runs/sec; serve "
+                        "adds the per-connection net tallies)")
+    p.add_argument("--metrics-out", default=None, metavar="PATH",
+                   help="write one JSON-lines run record per scenario "
+                        "to PATH (atomic; schema in "
+                        "docs/observability.md; a serve record carries "
+                        "transport tallies under 'net')")
+
+
 def main(argv=None) -> int:
     """Parse arguments and dispatch to a subcommand."""
     parser = argparse.ArgumentParser(
@@ -899,47 +844,15 @@ def main(argv=None) -> int:
                         "'list'")
     p.add_argument("--list", action="store_true",
                    help="enumerate the registered scenarios and exit")
-    p.add_argument("--n", type=int, default=3,
-                   help="process count for sized scenarios (default 3)")
-    p.add_argument("--x", type=int, default=2,
-                   help="consensus number x for x-safe-agreement "
-                        "(default 2)")
-    p.add_argument("--max-steps", type=int, default=0,
-                   help="override the scenario's depth bound")
-    p.add_argument("--max-runs", type=int, default=0,
-                   help="override the scenario's run budget")
-    p.add_argument("--timeout", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="wall-clock budget per scenario; on expiry the "
-                        "sweep stops cleanly, emits a partial metrics "
-                        "record, and exits 3")
+    _add_exploration_args(p)
     p.add_argument("--naive", action="store_true",
                    help="disable partial-order reduction (enumerate "
                         "every interleaving)")
     p.add_argument("--jobs", default=None, metavar="N",
                    help="shard exploration across N worker processes "
                         "('auto' = cpu count); run counts are identical "
-                        "for every N")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="journal the exploration to a durable frontier "
-                        "store at PATH (fresh store; overwrites an "
-                        "existing one -- see --resume), so a killed run "
-                        "can continue; implies --jobs 1 unless --jobs "
-                        "is given (see docs/resumable_exploration.md)")
-    p.add_argument("--resume", default=None, metavar="PATH",
-                   help="continue an interrupted --checkpoint "
-                        "exploration from the frontier store at PATH; "
-                        "the store's configuration fingerprint must "
-                        "match this invocation (exit 2 otherwise), and "
-                        "final statistics are bit-for-bit identical to "
-                        "an uninterrupted run")
-    p.add_argument("--metrics", action="store_true",
-                   help="print a per-scenario observability summary "
-                        "(phases, prune/sleep rates, runs/sec)")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write one JSON-lines run record per scenario "
-                        "to PATH (atomic; schema in "
-                        "docs/observability.md)")
+                        "for every N; --checkpoint/--resume imply "
+                        "--jobs 1")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
@@ -1047,30 +960,7 @@ def main(argv=None) -> int:
                    help="address to listen on (default 127.0.0.1:0; "
                         "port 0 picks an ephemeral port, printed as "
                         "'[serve] listening on HOST:PORT')")
-    p.add_argument("--n", type=int, default=3,
-                   help="process count for sized scenarios (default 3)")
-    p.add_argument("--x", type=int, default=2,
-                   help="consensus number x for x-safe-agreement "
-                        "(default 2)")
-    p.add_argument("--max-steps", type=int, default=0,
-                   help="override the scenario's depth bound")
-    p.add_argument("--max-runs", type=int, default=0,
-                   help="override the scenario's run budget")
-    p.add_argument("--timeout", type=float, default=0.0,
-                   metavar="SECONDS",
-                   help="wall-clock budget; on expiry the run stops "
-                        "cleanly and exits 3")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="journal the exploration to a durable frontier "
-                        "store at PATH (fresh store); a killed serve "
-                        "resumes via --resume here or via plain "
-                        "'check --resume' -- the store is "
-                        "transport-agnostic")
-    p.add_argument("--resume", default=None, metavar="PATH",
-                   help="continue an interrupted checkpointed run from "
-                        "the frontier store at PATH (exit 2 if the "
-                        "store is missing, unreadable, or fingerprint-"
-                        "mismatched)")
+    _add_exploration_args(p)
     p.add_argument("--lease-timeout", type=float, default=10.0,
                    metavar="SECONDS",
                    help="seconds a shard lease survives without a "
@@ -1079,12 +969,6 @@ def main(argv=None) -> int:
                    metavar="SECONDS",
                    help="seconds to wait for a first worker before "
                         "executing shards in-process (default 5)")
-    p.add_argument("--metrics", action="store_true",
-                   help="print an observability summary (includes the "
-                        "per-connection net tallies)")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write the JSON-lines run record to PATH "
-                        "(atomic; 'net' key carries transport tallies)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

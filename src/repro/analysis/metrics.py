@@ -318,9 +318,16 @@ class ExplorationMetrics:
         if stats is not None:
             self.record_stats(stats)
 
-    def record_budget_exceeded(self) -> None:
-        """Legacy alias kept for older callers (pre-v2 records)."""
-        self.outcome = "budget_exceeded"
+    def record_error(self) -> None:
+        """Mark the record as ended by an error, not a verdict.
+
+        A shard that failed on every attempt or a replay that diverged
+        (see :class:`~repro.runtime.explore.ShardFailed` and
+        :class:`~repro.runtime.explore.ReplayDivergence`) stops the
+        sweep without a proof either way; the counters then describe
+        whatever ran before the error.
+        """
+        self.outcome = "error"
 
     def finalize(self, wall_seconds: Optional[float] = None
                  ) -> "ExplorationMetrics":

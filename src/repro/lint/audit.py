@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..memory.base import SharedObject
+from ..runtime.explore import ExplorationInterrupted, ShardFailed
 from ..runtime.ops import Footprint, Invocation, _keys_overlap
 
 #: Seeds for the default adversary battery (mirrors the test suite's).
@@ -324,7 +325,8 @@ def _audit_one(scenario, adversary, max_steps: int, perturb: bool):
     result = run_processes(programs, audited, adversary=adversary,
                            crash_plan=crash_plan, max_steps=max_steps)
     if result.out_of_steps:
-        raise RuntimeError(
+        raise ExplorationInterrupted(
+            "max_steps",
             f"audit of {scenario.name!r} exhausted max_steps="
             f"{max_steps} under {adversary!r}")
     return (audited.audited_ops, audited.skipped_ops, repr(adversary))
@@ -337,7 +339,8 @@ def audit_scenario(scenario, adversaries: Optional[Sequence] = None,
     """Run ``scenario`` under auditing with a battery of adversaries.
 
     Raises :class:`FootprintViolation` on the first unsound declaration
-    and ``RuntimeError`` if a run exhausts ``max_steps``; returns an
+    and :class:`~repro.runtime.explore.ExplorationInterrupted` (reason
+    ``"max_steps"``) if a run exhausts ``max_steps``; returns an
     :class:`AuditReport` when every executed operation stayed inside its
     declared footprint.  With ``jobs``, the per-adversary runs execute
     on a worker pool (:func:`repro.runtime.parallel.run_pool`); failures
@@ -366,7 +369,7 @@ def audit_scenario(scenario, adversaries: Optional[Sequence] = None,
                             jobs=jobs)
         for index, (value, error) in enumerate(outcomes):
             if error is not None:
-                raise RuntimeError(
+                raise ShardFailed(
                     f"audit worker failed on adversary {index}: {error}")
             ok, failure = value
             if failure is not None:

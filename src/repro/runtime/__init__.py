@@ -13,7 +13,7 @@ from .crash import CrashPlan, CrashPoint, op_on
 from .dpor import (Counterexample, CounterexampleFound, explore_dpor,
                    replay_schedule, shrink_schedule)
 from .explore import (ExplorationInterrupted, ExplorationStats,
-                      ShardViolation, explore)
+                      ReplayDivergence, ShardFailed, ShardViolation, explore)
 from .fingerprint import Fingerprinter
 from .faults import (ArbitraryPropose, CorruptWrite, FaultBehavior,
                      FaultPlan, FaultTrigger, StaleReadReplay,
@@ -41,8 +41,8 @@ __all__ = [
     "CrashPlan", "CrashPoint", "op_on",
     "Counterexample", "CounterexampleFound", "explore_dpor",
     "replay_schedule", "shrink_schedule",
-    "ExplorationInterrupted", "ExplorationStats", "ShardViolation",
-    "explore",
+    "ExplorationInterrupted", "ExplorationStats", "ReplayDivergence",
+    "ShardFailed", "ShardViolation", "explore",
     "Fingerprinter",
     "ArbitraryPropose", "CorruptWrite", "FaultBehavior", "FaultPlan",
     "FaultTrigger", "StaleReadReplay", "byzantine_writer",

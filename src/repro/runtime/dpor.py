@@ -80,8 +80,9 @@ from typing import (Any, Callable, Dict, Generator, List, Optional,
 
 from .adversary import Adversary
 from .crash import CrashPlan
-from .explore import (ExplorationStats, ShardViolation, _max_runs_interrupt,
-                      _past_deadline, _run_serial, _timeout_interrupt)
+from .explore import (ExplorationStats, ReplayDivergence, ShardViolation,
+                      _max_runs_interrupt, _past_deadline, _run_serial,
+                      _timeout_interrupt)
 from .fingerprint import Fingerprinter
 from .ops import EMPTY_FOOTPRINT, Footprint, Invocation, SpinOp, conflicts
 from .process import ProcessHandle, ProcessStatus
@@ -404,10 +405,13 @@ def replay_schedule(build: Builder,
     The schedule is followed step by step (entries naming processes that
     are no longer schedulable are skipped) and the run is completed
     deterministically if the schedule stops short of a terminal state.
+    A run that is still going after ``max_steps`` steps raises
+    :class:`~repro.runtime.explore.ReplayDivergence`: the recorded
+    schedule came from a terminating run, so this one is not the same.
     """
     out = _drive(build, schedule, crash_plan_factory, max_steps)
     if out is None:
-        raise RuntimeError(
+        raise ReplayDivergence(
             f"schedule did not reach a terminal state in {max_steps} steps")
     return out[2]
 
@@ -839,7 +843,7 @@ def _explore_core(build: Builder,
         node = path[-1]
         node.visited = True
         if pid not in node.candidates:
-            raise RuntimeError(
+            raise ReplayDivergence(
                 f"shard prefix diverged: {pid} not schedulable at depth "
                 f"{len(path) - 1} (candidates: {node.candidates})")
         node.done.add(pid)
@@ -1060,12 +1064,12 @@ def explore_dpor(build: Builder,
     returns a fresh ``(programs, store)`` pair, ``check(result)`` asserts
     the safety property on every complete run, prefixes longer than
     ``max_steps`` count as truncated, and exceeding ``max_runs`` complete
-    + truncated runs raises ``RuntimeError`` (inclusive bound) -- but
-    schedules equivalent up to commuting independent steps are explored
-    only once.  ``stats.pruned_runs`` reports a *lower bound* on the
-    schedules avoided (unexplored candidate branches plus sleep-blocked
-    subtrees); the true saving is typically far larger, since each pruned
-    branch roots a whole subtree.
+    + truncated runs raises ``ExplorationInterrupted`` (inclusive
+    bound) -- but schedules equivalent up to commuting independent steps
+    are explored only once.  ``stats.pruned_runs`` reports a *lower
+    bound* on the schedules avoided (unexplored candidate branches plus
+    sleep-blocked subtrees); the true saving is typically far larger,
+    since each pruned branch roots a whole subtree.
 
     On a ``check`` failure the failing schedule is shrunk
     (:func:`shrink_schedule`, unless ``shrink=False``) and a

@@ -38,15 +38,18 @@ from .run import RunResult
 class ExplorationInterrupted(RuntimeError):
     """Exploration stopped cleanly at an explicit budget boundary.
 
-    Raised when the run-count budget (``max_runs``) or the wall-clock
-    budget (``timeout``) is exhausted before the schedule tree is done.
-    Carries the partial :attr:`stats` accumulated up to the interruption
-    and a machine-readable :attr:`reason` (``"max_runs"`` or
-    ``"timeout"``), so callers can emit a partial metrics record (the
-    CLI maps this to exit code 3 and an ``ExplorationMetrics`` record
-    flagged ``"partial": true``).  Subclasses ``RuntimeError``: existing
-    budget-error expectations -- including ``pytest.raises(RuntimeError,
-    match="max_runs")`` -- keep working unchanged.
+    Raised when a budget is exhausted before the work is done: the
+    run-count budget (``max_runs``) or the wall-clock budget
+    (``timeout``) of an exploration, or the per-run step budget
+    (``max_steps``) of a footprint audit.  Carries the partial
+    :attr:`stats` accumulated up to the interruption (``None`` for an
+    audit) and a machine-readable :attr:`reason` (``"max_runs"``,
+    ``"timeout"`` or ``"max_steps"``), so callers can emit a partial
+    metrics record (the CLI maps this to exit code 3 and a record with
+    ``"outcome": "interrupted"``).  Subclasses ``RuntimeError``:
+    existing budget-error expectations -- including
+    ``pytest.raises(RuntimeError, match="max_runs")`` -- keep working
+    unchanged.
     """
 
     def __init__(self, reason: str, message: str,
@@ -54,6 +57,26 @@ class ExplorationInterrupted(RuntimeError):
         self.reason = reason
         self.stats = stats
         super().__init__(message)
+
+    def __reduce__(self):
+        # Default exception pickling replays ``args`` (the message
+        # alone) into the 3-argument ``__init__``; rebuild from the
+        # real fields so an interruption survives worker pipes.
+        return (type(self), (self.reason, str(self), self.stats))
+
+
+class ShardFailed(RuntimeError):
+    """A pool task (a shard, or an audit adversary) failed on every
+    attempt the pool made, its in-process retry included.  An error,
+    never a budget: the CLI reports it as ``ERROR``, exit 4."""
+
+
+class ReplayDivergence(RuntimeError):
+    """Re-executing a recorded schedule did not reproduce it: a shard
+    prefix named a process that is not schedulable, or a replayed
+    schedule never reached a terminal state.  The scenario build is
+    not deterministic -- a bug in the system under test or the engine,
+    never a budget.  The CLI reports it as ``ERROR``, exit 4."""
 
 
 def _max_runs_interrupt(max_runs: int,
@@ -223,7 +246,7 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
     for depth, pid in enumerate(root):
         cands = sysm.candidates()
         if pid not in cands:
-            raise RuntimeError(
+            raise ReplayDivergence(
                 f"shard prefix diverged: {pid} not schedulable at depth "
                 f"{depth} (candidates: {cands})")
         sysm.execute(pid)
@@ -329,8 +352,8 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
     Prefixes longer than ``max_steps`` are counted as truncated (bounded
     exploration).  The ``max_runs`` budget is inclusive: exactly
     ``max_runs`` runs may execute; needing even one more raises
-    ``RuntimeError`` -- shrink the configuration instead of silently
-    sampling.
+    :class:`ExplorationInterrupted` -- shrink the configuration instead
+    of silently sampling.
 
     ``reduction`` selects the engine:
 

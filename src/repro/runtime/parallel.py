@@ -51,7 +51,7 @@ from typing import (Any, Callable, Dict, Generator, List, Optional,
 
 from .dpor import (Counterexample, CounterexampleFound, _explore_core,
                    _Footprints, _System, replay_schedule, shrink_schedule)
-from .explore import (ExplorationInterrupted, ExplorationStats,
+from .explore import (ExplorationInterrupted, ExplorationStats, ShardFailed,
                       ShardViolation, _explore_naive, _max_runs_interrupt,
                       _past_deadline, _timeout_interrupt)
 from .lease import (DEFAULT_HEARTBEAT_INTERVAL, DEFAULT_LEASE_TIMEOUT,
@@ -804,7 +804,10 @@ def explore_parallel(build: Optional[Builder] = None,
     Same contract as :func:`repro.runtime.explore.explore`: ``check``
     failures raise (``CounterexampleFound`` with a ddmin-shrunk,
     replayable counterexample under DPOR; plain ``AssertionError`` under
-    naive), exceeding ``max_runs`` total runs raises ``RuntimeError``.
+    naive), exceeding ``max_runs`` total runs raises
+    :class:`~repro.runtime.explore.ExplorationInterrupted`, and a shard
+    that fails on every attempt raises
+    :class:`~repro.runtime.explore.ShardFailed`.
     All statistics and the winning counterexample depend only on the
     sharding (``prefix_factor``), never on ``jobs`` or worker timing.
 
@@ -1011,7 +1014,7 @@ def explore_parallel(build: Optional[Builder] = None,
         value, error = outcome
         shard_idx = pending[pool_idx]
         if error is not None:
-            raise RuntimeError(
+            raise ShardFailed(
                 f"parallel exploration failed on shard {shard_idx} "
                 f"(prefix {list(shards[shard_idx][0])}): {error}")
         if len(value) == 3:

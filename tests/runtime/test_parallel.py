@@ -201,8 +201,9 @@ class TestWorkerFailureRecovery:
 
     def test_reexecution_failure_raises_runtime_error(self):
         # 'sigkill,raise' fails the orphaned shard's in-process re-run
-        # too: the coordinator must raise RuntimeError (the CLI maps it
-        # to exit code 2), never return partial statistics.
+        # too: the coordinator must raise ShardFailed, a RuntimeError
+        # (the CLI reports it as ERROR, exit 4), never return partial
+        # statistics.
         sc = check_scenarios(n=3)["adopt-commit"]
         with pytest.raises(RuntimeError,
                            match="parallel exploration failed on shard"):

@@ -46,8 +46,116 @@ class TestCLI:
             main([])
 
 
+def _records(path):
+    import json
+    with open(path) as handle:
+        return [json.loads(line) for line in handle if line.strip()]
+
+
+def _sabotage_queue_footprints(monkeypatch):
+    """Give queue-2cons a store whose footprint lies (audit exits 1)."""
+    from repro import scenarios as scen
+    from tests.lint.fixtures.broken_protocol import SpyingRegister
+
+    real = scen.check_scenarios
+    def sabotaged(n=3, x=2):
+        registry = real(n=n, x=x)
+        sc = registry["queue-2cons"]
+        original_build = sc.build
+
+        def build():
+            programs, store = original_build()
+            store.add(SpyingRegister("spy"))
+            from repro.runtime import Invocation
+
+            def spy_prog():
+                yield Invocation("spy", "write", ("a",))
+                yield Invocation("spy", "write", ("b",))
+
+            programs[99] = spy_prog()
+            return programs, store
+
+        sc.build = build
+        return registry
+
+    monkeypatch.setattr(scen, "check_scenarios", sabotaged)
+
+
+def _fail_every_engine(monkeypatch):
+    """Make every engine the CLI calls raise ShardFailed (exit 4)."""
+    import repro.lint
+    import repro.runtime
+    from repro.runtime import ShardFailed
+
+    def fail(*args, **kwargs):
+        raise ShardFailed("parallel exploration failed on shard 0 "
+                          "(prefix []): injected")
+    for module, engine in ((repro.runtime, "explore"),
+                           (repro.runtime, "explore_parallel"),
+                           (repro.lint, "audit_scenario")):
+        monkeypatch.setattr(module, engine, fail)
+
+
+#: ``serve`` runs every shard in-process at once: no worker needed.
+SOLO = ["--solo-after", "0"]
+
+#: The exit-code contract of the exploring commands, one row per
+#: (command, outcome): arguments, a rig that plants the fault (if
+#: any), the exit code, a label the output must carry, and the
+#: ``--metrics-out`` record outcome (``None``: no record written).
+EXIT_CODES = [
+    ("check", ["queue-2cons"], None, 0, "PASSED", "passed"),
+    ("check", ["broken-demo"], None, 1, "PROPERTY VIOLATED",
+     "violation"),
+    ("check", ["no-such-scenario"], None, 2, "unknown scenario", None),
+    ("check", ["adopt-commit", "--max-runs", "1"], None, 3,
+     "INTERRUPTED (max_runs)", "interrupted"),
+    ("check", ["queue-2cons"], _fail_every_engine, 4,
+     "ERROR (ShardFailed)", "error"),
+    ("serve", ["queue-2cons", *SOLO], None, 0, "PASSED", "passed"),
+    ("serve", ["broken-demo", *SOLO], None, 1, "PROPERTY VIOLATED",
+     "violation"),
+    ("serve", ["no-such-scenario", *SOLO], None, 2, "unknown scenario",
+     None),
+    ("serve", ["adopt-commit", "--max-runs", "1", *SOLO], None, 3,
+     "INTERRUPTED (max_runs)", "interrupted"),
+    ("serve", ["queue-2cons", *SOLO], _fail_every_engine, 4,
+     "ERROR (ShardFailed)", "error"),
+    ("audit", ["queue-2cons"], None, 0, "AUDIT PASSED", "passed"),
+    ("audit", ["queue-2cons"], _sabotage_queue_footprints, 1,
+     "FOOTPRINT VIOLATION", "violation"),
+    ("audit", ["no-such-scenario"], None, 2, "unknown scenario", None),
+    ("audit", ["adopt-commit", "--max-steps", "2"], None, 3,
+     "INTERRUPTED (max_steps)", "interrupted"),
+    ("audit", ["queue-2cons"], _fail_every_engine, 4,
+     "ERROR (ShardFailed)", "error"),
+]
+
+
+class TestExitCodes:
+    """0 pass, 1 violation, 2 configuration error, 3 budget interrupt,
+    4 error -- for ``check``, ``serve`` and ``audit`` alike."""
+
+    @pytest.mark.parametrize(
+        "command,argv,rig,code,label,outcome",
+        [pytest.param(*row, id=f"{row[0]}-{row[3]}") for row in EXIT_CODES])
+    def test_exit_code_table(self, command, argv, rig, code, label,
+                             outcome, tmp_path, monkeypatch, capsys):
+        if rig is not None:
+            rig(monkeypatch)
+        out_path = str(tmp_path / "metrics.jsonl")
+        assert main([command, *argv, "--metrics-out", out_path]) == code
+        captured = capsys.readouterr()
+        assert label in captured.out + captured.err
+        if outcome is None:
+            assert not os.path.exists(out_path)
+            return
+        (record,) = _records(out_path)
+        assert record.get("data", record)["outcome"] == outcome
+
+
 class TestCheckCommand:
-    """``python -m repro check``: exit codes 0 / 1 / 2."""
+    """``python -m repro check`` (exit codes: ``TestExitCodes``)."""
 
     def test_list_scenarios(self, capsys):
         assert main(["check", "list"]) == 0
@@ -86,12 +194,6 @@ class TestCheckCommand:
         assert "shrunk from" in out
         assert "prefix" in out
 
-    def test_max_runs_interrupt_exits_three(self, capsys):
-        assert main(["check", "adopt-commit", "--max-runs", "2"]) == 3
-        err = capsys.readouterr().err
-        assert "INTERRUPTED" in err
-        assert "max_runs" in err
-
     def test_timeout_interrupt_exits_three(self, capsys):
         # A zero-width wall-clock budget interrupts even the smallest
         # sweep on the first deadline check.
@@ -100,10 +202,6 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert "INTERRUPTED" in err
         assert "timeout" in err
-
-    def test_unknown_scenario_exits_two(self, capsys):
-        assert main(["check", "no-such-scenario"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
 
     def test_naive_violation_reports_cleanly(self, capsys):
         assert main(["check", "broken-demo", "--naive"]) == 1
@@ -178,12 +276,6 @@ class TestAuditJobsFlag:
 class TestMetricsFlags:
     """``--metrics`` / ``--metrics-out``: machine-readable run records."""
 
-    @staticmethod
-    def _records(path):
-        import json
-        with open(path) as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-
     def test_metrics_table_rides_along_with_check(self, capsys):
         assert main(["check", "safe-agreement", "--n", "2",
                      "--metrics"]) == 0
@@ -196,7 +288,7 @@ class TestMetricsFlags:
         out_path = str(tmp_path / "metrics.jsonl")
         assert main(["check", "safe-agreement", "--n", "2",
                      "--metrics-out", out_path]) == 0
-        (record,) = self._records(out_path)
+        (record,) = _records(out_path)
         assert record["schema_version"] == METRICS_SCHEMA_VERSION
         assert record["kind"] == "exploration"
         assert record["scenario"] == "safe-agreement"
@@ -214,7 +306,7 @@ class TestMetricsFlags:
             out_path = str(tmp_path / f"jobs{jobs}.jsonl")
             assert main(["check", "safe-agreement", "--n", "2",
                          "--jobs", jobs, "--metrics-out", out_path]) == 0
-            (record,) = self._records(out_path)
+            (record,) = _records(out_path)
             views[jobs] = json.dumps(deterministic_view(record),
                                      sort_keys=True)
         assert views["1"] == views["4"]
@@ -226,7 +318,7 @@ class TestMetricsFlags:
         out_path = str(tmp_path / "check.jsonl")
         assert main(["check", "x-safe-agreement", "--n", "3",
                      "--metrics-out", out_path]) == 0
-        (record,) = self._records(out_path)
+        (record,) = _records(out_path)
         assert record["cache_hits"] == 0
         assert record["cache_skipped_runs"] == 0
 
@@ -236,7 +328,7 @@ class TestMetricsFlags:
         out_path = str(tmp_path / "metrics.jsonl")
         assert main(["check", "broken-demo",
                      "--metrics-out", out_path]) == 1
-        (record,) = self._records(out_path)
+        (record,) = _records(out_path)
         assert record["outcome"] == "violation"
         assert record["violation"]["error_type"] == "AssertionError"
         assert record["violation"]["schedule"]
@@ -246,7 +338,7 @@ class TestMetricsFlags:
         out_path = str(tmp_path / "metrics.jsonl")
         assert main(["check", "adopt-commit", "--max-runs", "2",
                      "--metrics-out", out_path]) == 3
-        (record,) = self._records(out_path)
+        (record,) = _records(out_path)
         assert record["outcome"] == "interrupted"
         assert record["partial"] is True
         assert record["interrupt_reason"] == "max_runs"
@@ -261,7 +353,7 @@ class TestMetricsFlags:
         out_path = str(tmp_path / "metrics.jsonl")
         assert main(["check", "adopt-commit", "--timeout", "0.000001",
                      "--metrics-out", out_path]) == 3
-        (record,) = self._records(out_path)
+        (record,) = _records(out_path)
         assert record["outcome"] == "interrupted"
         assert record["partial"] is True
         assert record["interrupt_reason"] == "timeout"
@@ -271,7 +363,7 @@ class TestMetricsFlags:
         out_path = str(tmp_path / "metrics.jsonl")
         assert main(["audit", "queue-2cons",
                      "--metrics-out", out_path]) == 0
-        (record,) = self._records(out_path)
+        (record,) = _records(out_path)
         assert record["kind"] == "audit"
         assert record["name"] == "queue-2cons"
         assert record["data"]["outcome"] == "passed"
@@ -284,7 +376,7 @@ class TestMetricsFlags:
         out_path = str(tmp_path / "metrics.jsonl")
         assert main(["audit", "queue-2cons",
                      "--metrics-out", out_path]) == 0
-        (record,) = self._records(out_path)
+        (record,) = _records(out_path)
         adversaries = record["data"]["adversaries"]
         assert "RoundRobinAdversary()" in adversaries
         for seed in DEFAULT_AUDIT_SEEDS:
@@ -326,7 +418,7 @@ class TestLintCommand:
 
 
 class TestAuditCommand:
-    """``python -m repro audit``: exit codes 0 / 1 / 2."""
+    """``python -m repro audit`` (exit codes: ``TestExitCodes``)."""
 
     def test_clean_scenario_exits_zero(self, capsys):
         assert main(["audit", "queue-2cons"]) == 0
@@ -334,41 +426,21 @@ class TestAuditCommand:
         assert "AUDIT PASSED" in out
         assert "operations audited" in out
 
-    def test_unknown_scenario_exits_two(self, capsys):
-        assert main(["audit", "no-such-scenario"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_budget_exceeded_exits_two(self, capsys):
-        assert main(["audit", "queue-2cons", "--max-steps", "2"]) == 2
-        assert "BUDGET EXCEEDED" in capsys.readouterr().err
+    def test_step_budget_interrupt_exits_three(self, tmp_path, capsys):
+        # A run that exhausts --max-steps is a budget interrupt, like
+        # check's --max-runs; under --jobs the interruption crosses the
+        # worker pipe intact.
+        for jobs in ([], ["--jobs", "2"]):
+            out_path = str(tmp_path / "metrics.jsonl")
+            assert main(["audit", "queue-2cons", "--max-steps", "2",
+                         "--metrics-out", out_path, *jobs]) == 3
+            assert "INTERRUPTED (max_steps)" in capsys.readouterr().err
+            (record,) = _records(out_path)
+            assert record["data"]["outcome"] == "interrupted"
+            assert record["data"]["interrupt_reason"] == "max_steps"
 
     def test_violation_exits_one(self, capsys, monkeypatch):
-        # Swap a scenario's store for one with a lying footprint.
-        from repro import scenarios as scen
-        from tests.lint.fixtures.broken_protocol import SpyingRegister
-
-        real = scen.check_scenarios
-        def sabotaged(n=3, x=2):
-            registry = real(n=n, x=x)
-            sc = registry["queue-2cons"]
-            original_build = sc.build
-
-            def build():
-                programs, store = original_build()
-                store.add(SpyingRegister("spy"))
-                from repro.runtime import Invocation
-
-                def spy_prog():
-                    yield Invocation("spy", "write", ("a",))
-                    yield Invocation("spy", "write", ("b",))
-
-                programs[99] = spy_prog()
-                return programs, store
-
-            sc.build = build
-            return registry
-
-        monkeypatch.setattr(scen, "check_scenarios", sabotaged)
+        _sabotage_queue_footprints(monkeypatch)
         assert main(["audit", "queue-2cons"]) == 1
         out = capsys.readouterr().out
         assert "FOOTPRINT VIOLATION" in out
