@@ -199,13 +199,11 @@ def _outcome_ladder(name: str, exc: BaseException, metrics=None):
         print(f"[{name}] PROPERTY VIOLATED ({exc.stats})")
         print(cex.describe())
         if metrics is not None:
-            if exc.stats is not None:
-                metrics.record_stats(exc.stats)
+            # The engine already recorded the run counts and ddmin
+            # replays (``dpor.raise_violation``).
             metrics.record_violation(error_type=type(cex.error).__name__,
                                      prefix=cex.prefix,
                                      schedule=cex.schedule)
-            if not metrics.ddmin_replays:
-                metrics.ddmin_replays = cex.ddmin_attempts
         return 1, "violation"
     if isinstance(exc, AssertionError):
         # The naive engine reports the bare failure; only DPOR shrinks
@@ -294,10 +292,10 @@ def _explore_scenario(name: str, sc, args: argparse.Namespace,
                             reduction=reduction, metrics=metrics,
                             timeout=args.timeout or None)
         else:
-            # Workers rebuild the scenario by name (closures do not
-            # pickle); the ref pins the CLI's sizing flags.  The
-            # wall-clock budget ships as an absolute monotonic
-            # deadline, valid across fork on Linux.
+            # The ref names the run for the checkpoint fingerprint
+            # and socket workers (closures do not pickle) and pins the
+            # CLI's sizing flags.  The wall-clock budget ships as an
+            # absolute monotonic deadline, valid across fork on Linux.
             stats = explore_parallel(
                 crash_plan_factory=sc.crash_plan_factory,
                 max_steps=max_steps, max_runs=max_runs, jobs=jobs,

@@ -240,8 +240,7 @@ class ExplorationMetrics:
 
         The engines (and their forked shard workers, whose counters come
         back over the result pipe) report into picklable plain dicts;
-        additive counters sum, watermarks take the max, and shrink time
-        lands in the ``shrink`` phase.
+        additive counters sum and watermarks take the max.
         """
         if not counters:
             return
@@ -249,11 +248,8 @@ class ExplorationMetrics:
         self.sleep_set_checks += counters.get("sleep_checks", 0)
         self.cache_hits += counters.get("cache_hits", 0)
         self.cache_skipped_runs += counters.get("cache_skipped_runs", 0)
-        self.ddmin_replays += counters.get("ddmin_replays", 0)
         self.peak_frontier_size = max(self.peak_frontier_size,
                                       counters.get("peak_frontier", 0))
-        if counters.get("shrink_seconds"):
-            self.record_phase("shrink", counters["shrink_seconds"])
 
     def record_stats(self, stats: Any) -> None:
         """Copy the final (merged) ExplorationStats run counts."""

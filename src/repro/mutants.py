@@ -13,7 +13,9 @@ catches every one of them:
   from source alone, without executing a single schedule;
 * ``explore``  -- exhaustive schedule exploration
   (:func:`repro.runtime.explore.explore` with DPOR) fails the
-  scenario's safety property on some interleaving;
+  scenario's safety property on some interleaving, or finds that
+  replaying a recorded schedule does not reproduce it
+  (``ReplayDivergence``);
 * ``check``    -- the Wing & Gong linearizability checker
   (:func:`repro.analysis.linearizability.check_linearizable`) rejects a
   history produced under seeded adversarial delivery;
@@ -50,7 +52,7 @@ so a regression in detection points at a specific lost capability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 #: Detection stages, in the order the harness consults them.
 STAGES = ("lint", "explore", "check", "audit", "sweep", "cache",
@@ -82,14 +84,16 @@ class Mutant:
 
 def _explore_detects(build, check, max_steps: int,
                      crash_plan_factory=None,
-                     max_runs: int = 200_000) -> Optional[str]:
-    """Run DPOR exploration; a counterexample means ``explore`` caught
-    the mutant.  A clean sweep returns None (not caught here)."""
+                     max_runs: int = 200_000,
+                     caught: Optional[type] = None) -> Optional[str]:
+    """Run DPOR exploration; raising ``caught`` (by default
+    ``CounterexampleFound``) means ``explore`` caught the mutant.  A
+    clean sweep returns None (not caught here)."""
     from .runtime import CounterexampleFound, explore
     try:
         explore(build, check, crash_plan_factory=crash_plan_factory,
                 max_steps=max_steps, max_runs=max_runs, reduction="dpor")
-    except CounterexampleFound:
+    except caught or CounterexampleFound:
         return "explore"
     return None
 
@@ -590,9 +594,7 @@ def _cache_outcome(state_cache, fingerprinter=None):
                              state_cache=state_cache,
                              fingerprinter=fingerprinter)
     except CounterexampleFound as exc:
-        stats = exc.stats
-        return ("violation", stats.total_runs
-                if stats is not None else None)
+        return ("violation", exc.stats.total_runs)
     return ("passed", stats.total_runs, stats.complete_runs,
             stats.truncated_runs, stats.pruned_runs,
             stats.max_depth_seen)
@@ -789,6 +791,62 @@ def _netshard_accept_stale_result() -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
+# nondeterministic-build mutant (the replay premise itself)
+# ---------------------------------------------------------------------------
+
+def nondeterministic_scenario():
+    """A ``(build, check)`` pair whose build is not a pure factory.
+
+    One shared register slot: p0 writes it, p1 reads it and decides
+    what it saw.  The build counts its calls, and p0 takes 1 step on
+    odd builds and 3 on even ones, so a schedule recorded on one build
+    names steps another build does not have.  The check holds on every
+    run of either program: only a replay that verifies what it replays
+    can tell this scenario from a sound one.
+    """
+    from itertools import count
+
+    from .memory import build_store, make_spec
+    from .runtime import ObjectProxy
+
+    r = ObjectProxy("r")
+    builds = count()
+
+    def build():
+        # MUTANT: the program depends on how many builds came before.
+        steps = 1 if next(builds) % 2 else 3
+
+        def writer():
+            for _ in range(steps):
+                yield r.write(0, 1)
+
+        def reader():
+            value = yield r.read(0)
+            return value
+
+        store = build_store([make_spec("register_array", "r", size=1)])
+        return {0: writer(), 1: reader()}, store
+
+    def check(result) -> None:
+        assert result.decisions.get(1) in (None, 1), \
+            f"reader saw a value nobody wrote: {result.summary()}"
+
+    return build, check
+
+
+def _nondeterministic_build() -> Optional[str]:
+    """The scenario build returns a different program on every other
+    call.  Every verdict of the checker rests on replay: re-syncing a
+    rebuilt system after a backtrack must reach the recorded state.
+    Here it does not, and DPOR exploration must say so by raising
+    ``ReplayDivergence`` instead of passing a state space it never
+    saw whole."""
+    from .runtime import ReplayDivergence
+    return _explore_detects(*nondeterministic_scenario(), max_steps=12,
+                            caught=ReplayDivergence)
+
+
+# ---------------------------------------------------------------------------
 # Registry + harness
 # ---------------------------------------------------------------------------
 
@@ -835,6 +893,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "shard server applies a completion frame from an expired "
            "lease holder",
            "network", _netshard_accept_stale_result),
+    Mutant("nondeterministic-build",
+           "scenario build returns a different program on every other "
+           "call",
+           "explore", _nondeterministic_build),
 )
 
 
@@ -850,8 +912,3 @@ def get_mutant(name: str) -> Mutant:
             return mutant
     raise KeyError(f"unknown mutant {name!r} "
                    f"(expected one of {mutant_names()})")
-
-
-def detect_all() -> Dict[str, Optional[str]]:
-    """Run every mutant's detector; maps name -> detecting stage/None."""
-    return {mutant.name: mutant.detect() for mutant in MUTANTS}

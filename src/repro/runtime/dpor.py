@@ -57,12 +57,14 @@ then answer for the wrong pair -- the explored tree would change from
 run to run.  ``ops.conflicts`` stays the definition; the memo only
 caches its answers.
 
-When the property ``check()`` fails on some schedule, the failing
-schedule is **shrunk** by delta debugging (:func:`shrink_schedule`): the
-scheduler repeatedly removes chunks of the schedule prefix, completes
-each candidate deterministically (lowest pid first), and keeps any
-strictly shorter prefix that still fails, down to a locally-minimal
-(1-minimal) prefix.  The result is a replayable
+When the property ``check()`` fails on some schedule, the engine
+records the failure and stops; :func:`raise_violation` replays it once
+to confirm it recurs, and the failing schedule is **shrunk** by delta
+debugging (:func:`shrink_schedule`): the scheduler repeatedly removes
+chunks of the schedule prefix, completes each candidate
+deterministically (lowest pid first), and keeps any strictly shorter
+prefix that still fails, down to a locally-minimal (1-minimal) prefix.
+The result is a replayable
 :class:`Counterexample` artifact raised inside a
 :class:`CounterexampleFound` error.
 
@@ -75,6 +77,7 @@ plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import (Any, Callable, Dict, Generator, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -264,6 +267,19 @@ class _System:
         if handle.status is ProcessStatus.CRASHED:
             return EMPTY_FOOTPRINT
         return fp
+
+    def replay(self, prefix: Sequence[int]) -> None:
+        """Execute ``prefix`` from the current state, checking before
+        each step that its process is schedulable: a recorded prefix
+        that names one that is not raises
+        :class:`~repro.runtime.explore.ReplayDivergence`."""
+        for depth, pid in enumerate(prefix):
+            cands = self.candidates()
+            if pid not in cands:
+                raise ReplayDivergence(
+                    f"prefix diverged: {pid} not schedulable at depth "
+                    f"{depth} (candidates: {cands})")
+            self.execute(pid)
 
     def result(self) -> RunResult:
         decisions = {pid: h.decision for pid, h in self.handles.items()
@@ -481,6 +497,61 @@ def shrink_schedule(build: Builder,
         max_steps=max_steps,
         ddmin_attempts=attempts,
     )
+
+
+def raise_violation(stats: ExplorationStats,
+                    build: Builder,
+                    check: Callable[[RunResult], None],
+                    crash_plan_factory: Optional[Callable[[], CrashPlan]],
+                    max_steps: int,
+                    reduction: str,
+                    shrink: bool = True,
+                    metrics: Optional[Any] = None) -> None:
+    """Raise the violation an engine collected into ``stats``.
+
+    The one way a finding leaves :func:`repro.runtime.explore.explore`,
+    :func:`explore_dpor` and :func:`repro.runtime.parallel.
+    explore_parallel`.  The collected schedule is first replayed once
+    against a fresh ``build()`` and re-checked: a replay that does not
+    follow the schedule to a terminal state, or whose check does not
+    fail with the recorded error type, raises
+    :class:`~repro.runtime.explore.ReplayDivergence` -- the build or
+    the check is not deterministic, and no verdict can rest on the
+    run.  Under ``reduction="naive"`` the check's own exception is then
+    raised.  Under DPOR the schedule is ddmin-shrunk
+    (:func:`shrink_schedule`; kept whole when ``shrink=False``) and
+    :class:`CounterexampleFound` is raised, carrying ``stats``; the
+    ``shrink`` phase and ``ddmin_replays`` go to ``metrics``.
+    """
+    start = perf_counter()
+    schedule = list(stats.violation.schedule)
+    max_steps = max(max_steps, len(schedule))
+    out = _drive(build, schedule, crash_plan_factory, max_steps)
+    error: Optional[Exception] = None
+    if out is not None and out[0] == schedule and not out[1]:
+        try:
+            check(out[2])
+        except Exception as exc:  # noqa: BLE001 - the failure under study
+            error = exc
+    if error is None or type(error).__name__ != stats.violation.error_type:
+        raise ReplayDivergence(
+            f"the violation on schedule {schedule} "
+            f"({stats.violation.message}) did not recur on replay")
+    if reduction == "naive":
+        raise error
+    if shrink:
+        counterexample = shrink_schedule(
+            build, check, schedule, crash_plan_factory=crash_plan_factory,
+            max_steps=max_steps)
+    else:
+        counterexample = Counterexample(
+            prefix=schedule, tail=[], original_schedule=schedule,
+            error=error, result=out[2], build=build, check=check,
+            crash_plan_factory=crash_plan_factory, max_steps=max_steps)
+    if metrics is not None:
+        metrics.record_phase("shrink", perf_counter() - start)
+        metrics.ddmin_replays += counterexample.ddmin_attempts
+    raise CounterexampleFound(counterexample, stats) from error
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +862,8 @@ def _explore_core(build: Builder,
                   = None,
                   max_steps: int = 24,
                   max_runs: int = 200_000,
-                  shrink: bool = True,
                   prefix: Sequence[int] = (),
                   root_sleep: Sequence[int] = (),
-                  collect: bool = False,
                   counters: Optional[Dict[str, Any]] = None,
                   deadline: Optional[float] = None,
                   state_cache: bool = False,
@@ -812,15 +881,19 @@ def _explore_core(build: Builder,
     orderings.  ``root_sleep`` carries the shard root's sleep set across
     the process boundary.
 
-    With ``collect=True`` the first check failure is recorded as
-    ``stats.violation`` (schedule measured from the true root, prefix
-    included) and the walk returns instead of raising, so a coordinator
-    can pick the winning violation deterministically across shards.
+    The first check failure is recorded as ``stats.violation``
+    (schedule measured from the true root, prefix included) and the
+    walk returns there: the caller raises it (:func:`raise_violation`),
+    or a coordinator picks the winning violation deterministically
+    across shards first.  After a backtrack the rebuilt system is
+    re-synced by replaying the path; a replayed step that does not
+    return its recorded (interned) footprint raises
+    :class:`~repro.runtime.explore.ReplayDivergence`.
 
     ``counters`` is an optional plain-dict metrics channel (picklable,
     so shard workers can ship it back over their result pipe): sleep-set
-    hit accounting, cache hit/skip counts, ddmin replay counts, and
-    shrink wall-clock go there, never into ``ExplorationStats`` --
+    hit accounting and cache hit/skip counts go there, never into
+    ``ExplorationStats`` --
     collecting metrics cannot perturb the deterministic statistics
     contract.
 
@@ -957,41 +1030,12 @@ def _explore_core(build: Builder,
             if not node.candidates:
                 # Terminal state (all decided/crashed, or exact deadlock).
                 stats.complete_runs += 1
-                result = sysm.result()
                 try:
-                    check(result)
-                except Exception as exc:  # noqa: BLE001 - property failed
-                    schedule = [n.in_pid for n in path[1:]]
-                    if collect:
-                        stats.violation = ShardViolation(
-                            order_key=tuple(prefix),
-                            schedule=tuple(schedule),
-                            message=f"{type(exc).__name__}: {exc}",
-                            error_type=type(exc).__name__)
-                        return stats
-                    if shrink:
-                        from time import perf_counter
-                        shrink_start = perf_counter()
-                        counterexample = shrink_schedule(
-                            build, check, schedule,
-                            crash_plan_factory=crash_plan_factory,
-                            max_steps=max(max_steps, len(schedule)))
-                        if counters is not None:
-                            counters["shrink_seconds"] = (
-                                counters.get("shrink_seconds", 0.0)
-                                + perf_counter() - shrink_start)
-                            counters["ddmin_replays"] = (
-                                counters.get("ddmin_replays", 0)
-                                + counterexample.ddmin_attempts)
-                    else:
-                        counterexample = Counterexample(
-                            prefix=schedule, tail=[],
-                            original_schedule=schedule, error=exc,
-                            result=result, build=build, check=check,
-                            crash_plan_factory=crash_plan_factory,
-                            max_steps=max(max_steps, len(schedule)))
-                    raise CounterexampleFound(counterexample, stats) \
-                        from exc
+                    check(sysm.result())
+                except Exception as exc:  # noqa: BLE001 - collected
+                    stats.violation = ShardViolation.of(
+                        prefix, [n.in_pid for n in path[1:]], exc)
+                    return stats
                 pop_top()
                 check_budget()
                 continue
@@ -1027,7 +1071,11 @@ def _explore_core(build: Builder,
         if not synced:
             sysm = _System(build, crash_plan_factory, footprints)
             for n in path[1:]:
-                sysm.execute(n.in_pid)
+                if sysm.execute(n.in_pid) is not n.in_fp:
+                    raise ReplayDivergence(
+                        f"re-sync diverged: step {path.index(n)} "
+                        f"({n.in_pid}) did not repeat its recorded "
+                        f"footprint")
             synced = True
         node.done.add(pick)
         fp = sysm.execute(pick)
@@ -1051,8 +1099,6 @@ def explore_dpor(build: Builder,
                  max_steps: int = 24,
                  max_runs: int = 200_000,
                  shrink: bool = True,
-                 jobs=None,
-                 prefix_factor: Optional[int] = None,
                  metrics: Optional[Any] = None,
                  deadline: Optional[float] = None,
                  state_cache: bool = False,
@@ -1069,16 +1115,15 @@ def explore_dpor(build: Builder,
     are explored only once.  ``stats.pruned_runs`` reports a *lower
     bound* on the schedules avoided (unexplored candidate branches plus
     sleep-blocked subtrees); the true saving is typically far larger,
-    since each pruned branch roots a whole subtree.
+    since each pruned branch roots a whole subtree.  This is the
+    single-process search; :func:`repro.runtime.explore.explore` with a
+    ``jobs`` value routes to the sharded one.
 
-    On a ``check`` failure the failing schedule is shrunk
-    (:func:`shrink_schedule`, unless ``shrink=False``) and a
-    :class:`CounterexampleFound` is raised from the original error.
-
-    ``jobs=None`` (default) runs the classic single-process search; any
-    explicit value routes to sharded exploration
-    (:func:`repro.runtime.parallel.explore_parallel`), whose run counts
-    depend on the sharding but never on how many workers execute it.
+    On a ``check`` failure the engine stops and :func:`raise_violation`
+    replays the failing schedule, shrinks it (:func:`shrink_schedule`,
+    unless ``shrink=False``) and raises :class:`CounterexampleFound`
+    from the replayed error; a failure that does not recur on replay
+    raises :class:`~repro.runtime.explore.ReplayDivergence`.
 
     ``metrics`` is an optional
     :class:`repro.analysis.metrics.ExplorationMetrics` collector;
@@ -1094,22 +1139,16 @@ def explore_dpor(build: Builder,
     ``state_cache=True`` enables the prefix-equivalence state cache
     (default off; the path the ``cache`` differential tier compares
     against the default).  ``fingerprinter`` injects a custom
-    :class:`~repro.runtime.fingerprint.Fingerprinter` (serial engine
-    only -- custom fingerprinters do not cross the worker boundary).
+    :class:`~repro.runtime.fingerprint.Fingerprinter`.
     """
-    if jobs is not None:
-        from .parallel import DEFAULT_PREFIX_FACTOR, explore_parallel
-        return explore_parallel(
-            build, check, crash_plan_factory=crash_plan_factory,
-            max_steps=max_steps, max_runs=max_runs, jobs=jobs,
-            reduction="dpor", shrink=shrink,
-            prefix_factor=prefix_factor or DEFAULT_PREFIX_FACTOR,
-            metrics=metrics, deadline=deadline,
-            state_cache=state_cache)
-    return _run_serial(
+    stats = _run_serial(
         lambda counters: _explore_core(
             build, check, crash_plan_factory=crash_plan_factory,
-            max_steps=max_steps, max_runs=max_runs, shrink=shrink,
-            counters=counters, deadline=deadline,
-            state_cache=state_cache, fingerprinter=fingerprinter),
+            max_steps=max_steps, max_runs=max_runs, counters=counters,
+            deadline=deadline, state_cache=state_cache,
+            fingerprinter=fingerprinter),
         metrics)
+    if stats.violation is not None:
+        raise_violation(stats, build, check, crash_plan_factory, max_steps,
+                        "dpor", shrink=shrink, metrics=metrics)
+    return stats

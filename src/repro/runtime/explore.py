@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Generator, List, Optional,
                     Sequence, Tuple, Union)
 
-from time import monotonic
+from time import monotonic, perf_counter
 
 from .crash import CrashPlan
 from .run import RunResult
@@ -120,6 +120,13 @@ class ShardViolation:
     message: str
     error_type: str = "AssertionError"
 
+    @classmethod
+    def of(cls, order_key: Sequence[int], schedule: Sequence[int],
+           exc: BaseException) -> "ShardViolation":
+        """The violation ``exc``, raised by ``check`` on ``schedule``."""
+        return cls(tuple(order_key), tuple(schedule),
+                   f"{type(exc).__name__}: {exc}", type(exc).__name__)
+
 
 @dataclass
 class ExplorationStats:
@@ -130,11 +137,11 @@ class ExplorationStats:
     redundant and skipped (each unexplored branch roots a whole subtree,
     so the true saving is at least this large).
 
-    ``violation`` is only set by shard-mode exploration (see
-    :mod:`repro.runtime.parallel`), where property failures are
-    *collected* rather than raised so that every shard finishes and the
-    merged statistics stay deterministic; the serial engines raise
-    immediately instead.
+    ``violation`` holds the first property failure an engine met.
+    Every engine *collects* it and stops (every shard of a sharded run
+    finishes, so the merged statistics stay deterministic); the entry
+    points then raise it through
+    :func:`repro.runtime.dpor.raise_violation`.
     """
 
     complete_runs: int = 0
@@ -216,7 +223,6 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
                    max_steps: int,
                    max_runs: int,
                    root: Sequence[int] = (),
-                   collect: bool = False,
                    counters: Optional[Dict[str, Any]] = None,
                    deadline: Optional[float] = None
                    ) -> ExplorationStats:
@@ -226,13 +232,15 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
     the tree; after a leaf it is rebuilt and re-synced from the root
     before the next sibling is stepped, so every engine shares the
     substrate's stutter pruning, deadlock detection and ``RunResult``
-    assembly.
+    assembly.  Both the replay of ``root`` and each re-sync check that
+    every replayed step is schedulable
+    (:class:`ReplayDivergence` otherwise).
 
-    With ``collect=True`` (shard mode) the first check failure is
-    recorded as ``stats.violation`` and the walk stops there instead of
-    raising, so the coordinator can merge shard outcomes
-    deterministically.  ``counters`` is an optional plain-dict metrics
-    channel (see :mod:`repro.analysis.metrics`); the naive walk reports
+    The first check failure is recorded as ``stats.violation`` and the
+    walk stops there; the caller raises it, or the coordinator merges
+    shard outcomes deterministically first.  ``counters`` is an
+    optional plain-dict metrics channel (see
+    :mod:`repro.analysis.metrics`); the naive walk reports
     only its open-node watermark (``peak_frontier``: prefixes pushed but
     not yet visited), and never touches ``ExplorationStats`` --
     exploration statistics stay bit-for-bit identical whether or not
@@ -243,13 +251,7 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
     stats = ExplorationStats()
     footprints = _Footprints()
     sysm = _System(build, crash_plan_factory, footprints)
-    for depth, pid in enumerate(root):
-        cands = sysm.candidates()
-        if pid not in cands:
-            raise ReplayDivergence(
-                f"shard prefix diverged: {pid} not schedulable at depth "
-                f"{depth} (candidates: {cands})")
-        sysm.execute(pid)
+    sysm.replay(root)
     prefix = list(root)
     # todo[i] holds the unvisited children of the expanded node at depth
     # len(root) + i, highest pid first so that pop() takes the lowest.
@@ -274,8 +276,7 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
             pick = todo[-1].pop()
             if not synced:
                 sysm = _System(build, crash_plan_factory, footprints)
-                for pid in prefix:
-                    sysm.execute(pid)
+                sysm.replay(prefix)
                 synced = True
             sysm.execute(pick)
             prefix.append(pick)
@@ -285,14 +286,8 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
             stats.complete_runs += 1
             try:
                 check(sysm.result())
-            except Exception as exc:
-                if not collect:
-                    raise
-                stats.violation = ShardViolation(
-                    order_key=tuple(root),
-                    schedule=tuple(prefix),
-                    message=f"{type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__)
+            except Exception as exc:  # noqa: BLE001 - collected
+                stats.violation = ShardViolation.of(root, prefix, exc)
                 return stats
         elif len(prefix) >= max_steps:
             stats.truncated_runs += 1
@@ -310,23 +305,18 @@ def _run_serial(engine: Callable[[Optional[Dict[str, Any]]],
                 metrics: Optional[Any]) -> ExplorationStats:
     """Run a serial engine, ``engine(counters)``, settling ``metrics``.
 
-    A serial run is one shard.  Its wall clock, less the shrink time the
-    engine split out into the counters channel, is the shard phase; it
-    and the counters are recorded even when a check failure or budget
-    error propagates.  Without ``metrics`` the engine gets no counters.
+    A serial run is one shard.  Its wall clock is the shard phase; it
+    and the counters are recorded even when a budget error propagates.
+    Without ``metrics`` the engine gets no counters.
     """
     if metrics is None:
         return engine(None)
-    from time import perf_counter
     counters: Dict[str, Any] = {}
     start = perf_counter()
     try:
         stats = engine(counters)
     finally:
-        elapsed = perf_counter() - start
-        metrics.record_phase(
-            "shard_execution",
-            max(0.0, elapsed - counters.get("shrink_seconds", 0.0)))
+        metrics.record_phase("shard_execution", perf_counter() - start)
         metrics.absorb_counters(counters)
     metrics.record_stats(stats)
     return stats
@@ -339,11 +329,9 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
             max_runs: int = 200_000,
             reduction: str = "naive",
             jobs: Optional[Union[int, str]] = None,
-            prefix_factor: Optional[int] = None,
             metrics: Optional[Any] = None,
             timeout: Optional[float] = None,
-            state_cache: bool = False,
-            frontier: Optional[Any] = None) -> ExplorationStats:
+            state_cache: bool = False) -> ExplorationStats:
     """Exhaustively check every schedule of the system built by ``build``.
 
     ``build()`` must return a fresh ``(programs, store)`` pair each call
@@ -365,14 +353,20 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
       Same terminal states, far fewer runs; property failures are shrunk
       to a minimal replayable counterexample.
 
+    Every engine collects the first failure and stops;
+    :func:`repro.runtime.dpor.raise_violation` replays it once and
+    raises it -- the check's own exception under ``"naive"``,
+    ``CounterexampleFound`` under ``"dpor"`` -- or raises
+    :class:`ReplayDivergence` when the failure does not recur.
+
     ``jobs`` selects the execution backend.  ``None`` (the default)
     keeps the classic single-process engine.  Any explicit value --
     ``1``, ``4``, ``"auto"`` -- switches to sharded exploration
     (:func:`repro.runtime.parallel.explore_parallel`): the schedule tree
     is split at a frontier of prefixes and the shards are explored by a
-    worker pool.  Which shards exist depends only on ``prefix_factor``,
-    never on ``jobs``, so run counts and counterexamples are identical
-    for ``jobs=1`` and ``jobs=N``.
+    worker pool.  This is the one place that routes on ``jobs``.  Which
+    shards exist never depends on ``jobs``, so run counts and
+    counterexamples are identical for ``jobs=1`` and ``jobs=N``.
 
     ``metrics`` is an optional
     :class:`repro.analysis.metrics.ExplorationMetrics` collector.  It
@@ -387,42 +381,34 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
 
     ``state_cache`` (default off) enables the DPOR prefix-equivalence
     state cache (see ``docs/performance.md``); it is ignored by the
-    naive engine.  The CLI never turns it on.
-
-    ``frontier`` is an optional
-    :class:`repro.runtime.frontier.FrontierStore` making the
-    exploration durable and resumable (see
-    ``docs/resumable_exploration.md``).  Checkpointing is a property of
-    the *sharded* engine -- its frontier is the unit of durability --
-    so ``frontier`` requires an explicit ``jobs`` value (``jobs=1``
-    checkpoints a serial-speed run).
+    naive engine.  The CLI never turns it on.  Checkpointing is a
+    property of the sharded engine: pass a frontier store to
+    :func:`repro.runtime.parallel.explore_parallel`.
     """
     if reduction not in ("naive", "dpor"):
         raise ValueError(f"unknown reduction {reduction!r} "
                          f"(expected 'naive' or 'dpor')")
-    if frontier is not None and jobs is None:
-        raise ValueError(
-            "frontier checkpointing requires the sharded engine; pass "
-            "an explicit jobs value (jobs=1 for serial-speed execution)")
     deadline = monotonic() + timeout if timeout is not None else None
     if jobs is not None:
-        from .parallel import DEFAULT_PREFIX_FACTOR, explore_parallel
+        from .parallel import explore_parallel
         return explore_parallel(
             build, check, crash_plan_factory=crash_plan_factory,
             max_steps=max_steps, max_runs=max_runs, jobs=jobs,
-            reduction=reduction,
-            prefix_factor=prefix_factor or DEFAULT_PREFIX_FACTOR,
-            metrics=metrics, deadline=deadline,
-            state_cache=state_cache, frontier=frontier)
+            reduction=reduction, metrics=metrics, deadline=deadline,
+            state_cache=state_cache)
+    from .dpor import explore_dpor, raise_violation
     if reduction == "dpor":
-        from .dpor import explore_dpor
         return explore_dpor(build, check,
                             crash_plan_factory=crash_plan_factory,
                             max_steps=max_steps, max_runs=max_runs,
                             metrics=metrics, deadline=deadline,
                             state_cache=state_cache)
-    return _run_serial(
+    stats = _run_serial(
         lambda counters: _explore_naive(
             build, check, crash_plan_factory, max_steps, max_runs,
             counters=counters, deadline=deadline),
         metrics)
+    if stats.violation is not None:
+        raise_violation(stats, build, check, crash_plan_factory, max_steps,
+                        "naive")
+    return stats

@@ -200,7 +200,6 @@ class ShardServer(LeasePool):
                  lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
                  regrant_max: int = _REGRANT_MAX,
                  solo_after: float = DEFAULT_SOLO_AFTER,
-                 io_timeout: float = wire.DEFAULT_FRAME_TIMEOUT,
                  announce: Optional[Callable[[str, int], None]] = None
                  ) -> None:
         super().__init__(lease_timeout=lease_timeout,
@@ -210,7 +209,6 @@ class ShardServer(LeasePool):
         #: Run configuration shipped to workers in the ``welcome`` frame
         #: (scenario name/sizing and engine knobs; see ``cmd_serve``).
         self.config = dict(config or {})
-        self.io_timeout = io_timeout
         self._announce = announce
         #: Transport observability (metrics v4) around the core's.
         self.tallies = {
@@ -429,7 +427,7 @@ class ShardServer(LeasePool):
         except OSError:  # pragma: no cover - raced shutdown
             return
         conn.setblocking(True)
-        conn.settimeout(self.io_timeout)
+        conn.settimeout(wire.DEFAULT_FRAME_TIMEOUT)
         state = _ConnState(conn)
         conns[conn.fileno()] = state
         selector.register(conn, selectors.EVENT_READ, state)
@@ -503,7 +501,7 @@ class ShardServer(LeasePool):
     def _reply(self, state: _ConnState, body: Dict[str, Any]) -> bool:
         try:
             wire.send_frame(state.conn, body,
-                            deadline=monotonic() + self.io_timeout)
+                            deadline=monotonic() + wire.DEFAULT_FRAME_TIMEOUT)
         except (wire.WireError, OSError):
             return False
         self.tallies["frames_out"] += 1
@@ -537,7 +535,7 @@ class ShardServer(LeasePool):
         now = monotonic()
         for state in list(conns.values()):
             if state.buffer and now - state.last_progress > \
-                    self.io_timeout:
+                    wire.DEFAULT_FRAME_TIMEOUT:
                 self.tallies["frame_errors"] += 1
                 self._drop_conn(state, selector, conns)
 
@@ -580,8 +578,6 @@ class ShardWorker:
                  rpc_timeout: float = 10.0,
                  connect_attempts: int = 10,
                  rpc_attempts: int = RPC_ATTEMPTS,
-                 backoff_base: float = CONNECT_BACKOFF_BASE,
-                 backoff_cap: float = CONNECT_BACKOFF_CAP,
                  sleep: Callable[[float], None] = _real_sleep) -> None:
         self.host = host
         self.port = port
@@ -591,8 +587,6 @@ class ShardWorker:
         self.rpc_timeout = rpc_timeout
         self.connect_attempts = connect_attempts
         self.rpc_attempts = rpc_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self._sleep = sleep
         self._lock = threading.RLock()
         self._rpc_seq = itertools.count()
@@ -628,9 +622,7 @@ class ShardWorker:
         last_error: Optional[Exception] = None
         for attempt in range(self.connect_attempts):
             if attempt:
-                self._sleep(backoff_delay(self.name, attempt - 1,
-                                          self.backoff_base,
-                                          self.backoff_cap))
+                self._sleep(backoff_delay(self.name, attempt - 1))
             try:
                 sock = socket.create_connection(
                     (self.host, self.port), timeout=self.rpc_timeout)

@@ -6,25 +6,28 @@ a prefix from scratch and own the whole subtree below it.  The coordinator
 here
 
 1. expands a **frontier** serially -- BFS over the schedule tree until at
-   least ``prefix_factor x max(16, cpu_count, jobs)`` open prefixes exist
-   (terminal/truncated states met on the way are checked and counted
-   immediately).  Under DPOR the expansion schedules *every* non-sleeping
-   candidate at each pre-frontier state -- a trivially persistent set --
-   and propagates sleep sets to the frontier nodes with the exact rule
-   the serial engine uses, so the union of shard subtrees covers the same
-   Mazurkiewicz traces the serial search would;
+   least ``DEFAULT_PREFIX_FACTOR x max(16, cpu_count, jobs)`` open
+   prefixes exist (terminal/truncated states met on the way are checked
+   and counted immediately).  Under DPOR the expansion schedules
+   *every* non-sleeping candidate at each pre-frontier state -- a
+   trivially persistent set -- and propagates sleep sets to the
+   frontier nodes with the exact rule the serial engine uses, so the
+   union of shard subtrees covers the same Mazurkiewicz traces the
+   serial search would;
 2. farms each frontier prefix out through the lease pool
    (:class:`LeasePool`, here over ``fork``-based workers in
    :func:`run_pool`; :class:`repro.runtime.netshard.ShardServer` is the
    same core over TCP), each worker replaying its prefix and exploring
-   the subtree with the ordinary serial engine in *collect* mode
-   (property failures are recorded, not raised, so every shard
-   finishes);
+   the subtree with the ordinary serial engine, which *collects* its
+   first property failure rather than raising it, so every shard
+   finishes;
 3. **merges** shard statistics in frontier order via
    :meth:`ExplorationStats.merge` -- run counts and the winning violation
    (first by lexicographic prefix order) are therefore reproducible
-   regardless of worker timing -- and only then shrinks the winning
-   schedule with ddmin, in-process.
+   regardless of worker timing -- and only then replays, shrinks and
+   raises the winning violation in-process
+   (:func:`repro.runtime.dpor.raise_violation`, the helper every
+   engine raises through).
 
 Determinism contract: the frontier target is independent of ``jobs``
 (for any ``jobs <= max(16, cpu_count)``), so ``jobs=1`` and ``jobs=N``
@@ -49,8 +52,7 @@ from time import sleep as _sleep
 from typing import (Any, Callable, Dict, Generator, List, Optional,
                     Sequence, Tuple, Union)
 
-from .dpor import (Counterexample, CounterexampleFound, _explore_core,
-                   _Footprints, _System, replay_schedule, shrink_schedule)
+from .dpor import _explore_core, _Footprints, _System, raise_violation
 from .explore import (ExplorationInterrupted, ExplorationStats, ShardFailed,
                       ShardViolation, _explore_naive, _max_runs_interrupt,
                       _past_deadline, _timeout_interrupt)
@@ -60,14 +62,15 @@ from .run import RunResult
 
 Builder = Callable[[], Tuple[Dict[int, Generator], Any]]
 
-#: Frontier prefixes generated per potential worker (tunable; larger
-#: values give better load balance at the cost of more serial expansion).
+#: Frontier prefixes generated per potential worker (larger values give
+#: better load balance at the cost of more serial expansion).  A fixed
+#: constant: it fixes the sharding, and so every merged statistic.
 DEFAULT_PREFIX_FACTOR = 4
 
 #: Floor on the worker-count term of the frontier target.  Keeping the
-#: target at ``prefix_factor * max(_FRONTIER_BASE, cpu_count, jobs)``
-#: makes the sharding -- and hence all merged statistics -- identical
-#: for every ``jobs <= max(_FRONTIER_BASE, cpu_count)``.
+#: target at ``DEFAULT_PREFIX_FACTOR * max(_FRONTIER_BASE, cpu_count,
+#: jobs)`` makes the sharding -- and hence all merged statistics --
+#: identical for every ``jobs <= max(_FRONTIER_BASE, cpu_count)``.
 _FRONTIER_BASE = 16
 
 #: Seconds a transport loop waits for frames between lease sweeps and
@@ -661,8 +664,6 @@ def _expand_frontier(build: Builder,
     ``counters`` is the optional plain-dict metrics channel (frontier
     watermark and sleep-set accounting; never exploration statistics).
     """
-    from collections import deque
-
     stats = ExplorationStats()
     footprints = _Footprints()
     open_nodes: deque = deque([((), frozenset())])
@@ -677,8 +678,7 @@ def _expand_frontier(build: Builder,
             raise _timeout_interrupt(stats)
         stats.max_depth_seen = max(stats.max_depth_seen, len(prefix))
         sysm = _System(build, crash_plan_factory, footprints)
-        for pid in prefix:
-            sysm.execute(pid)
+        sysm.replay(prefix)
         cands = sysm.candidates()
         if not cands:
             stats.complete_runs += 1
@@ -686,10 +686,7 @@ def _expand_frontier(build: Builder,
                 check(sysm.result())
             except Exception as exc:  # noqa: BLE001 - collected
                 stats = stats.merge(ExplorationStats(
-                    violation=ShardViolation(
-                        order_key=tuple(prefix), schedule=tuple(prefix),
-                        message=f"{type(exc).__name__}: {exc}",
-                        error_type=type(exc).__name__)))
+                    violation=ShardViolation.of(prefix, prefix, exc)))
             continue
         if len(prefix) >= max_steps:
             stats.truncated_runs += 1
@@ -713,8 +710,7 @@ def _expand_frontier(build: Builder,
             # Child sleep set: exactly the serial engine's rule,
             # evaluated against the footprint ``pick`` executes.
             child_sys = _System(build, crash_plan_factory, footprints)
-            for pid in prefix:
-                child_sys.execute(pid)
+            child_sys.replay(prefix)
             child_sys.candidates()
             fp = child_sys.execute(pick)
             child_sleep = frozenset(
@@ -761,14 +757,12 @@ def execute_shard(build: Builder,
             shard_stats = _explore_core(
                 build, check, crash_plan_factory=crash_plan_factory,
                 max_steps=max_steps, max_runs=max_runs, prefix=prefix,
-                root_sleep=sleep, collect=True,
-                counters=shard_counters, deadline=deadline,
-                state_cache=state_cache)
+                root_sleep=sleep, counters=shard_counters,
+                deadline=deadline, state_cache=state_cache)
         else:
             shard_stats = _explore_naive(build, check,
                                          crash_plan_factory, max_steps,
                                          max_runs, root=prefix,
-                                         collect=True,
                                          counters=shard_counters,
                                          deadline=deadline)
     except ExplorationInterrupted as exc:
@@ -789,8 +783,6 @@ def explore_parallel(build: Optional[Builder] = None,
                      max_runs: int = 200_000,
                      jobs: Union[int, str] = 1,
                      reduction: str = "dpor",
-                     prefix_factor: int = DEFAULT_PREFIX_FACTOR,
-                     shrink: bool = True,
                      scenario=None,
                      fault_plan: Optional[Dict[int, str]] = None,
                      metrics: Optional[Any] = None,
@@ -801,21 +793,27 @@ def explore_parallel(build: Optional[Builder] = None,
                      ) -> ExplorationStats:
     """Sharded exhaustive exploration across a worker pool.
 
-    Same contract as :func:`repro.runtime.explore.explore`: ``check``
-    failures raise (``CounterexampleFound`` with a ddmin-shrunk,
-    replayable counterexample under DPOR; plain ``AssertionError`` under
-    naive), exceeding ``max_runs`` total runs raises
+    Same contract as :func:`repro.runtime.explore.explore`: the winning
+    ``check`` failure is raised through
+    :func:`repro.runtime.dpor.raise_violation` (``CounterexampleFound``
+    with a ddmin-shrunk, replayable counterexample under DPOR; the
+    check's own exception under naive; ``ReplayDivergence`` when it
+    does not recur on replay), exceeding ``max_runs`` total runs raises
     :class:`~repro.runtime.explore.ExplorationInterrupted`, and a shard
     that fails on every attempt raises
     :class:`~repro.runtime.explore.ShardFailed`.
     All statistics and the winning counterexample depend only on the
-    sharding (``prefix_factor``), never on ``jobs`` or worker timing.
+    sharding (:data:`DEFAULT_PREFIX_FACTOR`), never on ``jobs`` or
+    worker timing.
 
-    ``scenario`` may be a :class:`repro.scenarios.ScenarioRef`; workers
-    then rebuild ``build``/``check`` by name instead of relying on
-    fork-inherited closures (and the coordinator fills in any missing
-    ``build``/``check``/``crash_plan_factory`` from it).  ``fault_plan``
-    injects worker faults by shard index (tests only).
+    ``scenario`` may be a :class:`repro.scenarios.ScenarioRef`: the
+    coordinator fills in any missing ``build``/``check``/
+    ``crash_plan_factory`` from it, and it names the run in the
+    checkpoint fingerprint.  Fork workers and the in-process fallback
+    run the coordinator's ``build``/``check`` (forked children inherit
+    them); socket workers resolve the scenario from the server's
+    ``welcome`` config.  ``fault_plan`` injects worker faults by shard
+    index (tests only).
 
     ``metrics`` is an optional
     :class:`repro.analysis.metrics.ExplorationMetrics` collector: the
@@ -878,7 +876,8 @@ def explore_parallel(build: Optional[Builder] = None,
                          f"(expected 'naive' or 'dpor')")
     jobs = resolve_jobs(jobs)
     use_sleep = reduction == "dpor"
-    target = prefix_factor * max(_FRONTIER_BASE, os.cpu_count() or 1, jobs)
+    target = DEFAULT_PREFIX_FACTOR * max(_FRONTIER_BASE,
+                                         os.cpu_count() or 1, jobs)
     # The frontier store needs the expansion counters even when no
     # metrics collector is attached at checkpoint time -- a later
     # resume may attach one.
@@ -895,7 +894,7 @@ def explore_parallel(build: Optional[Builder] = None,
         "max_steps": max_steps,
         "max_runs": max_runs,
         "reduction": reduction,
-        "prefix_factor": prefix_factor,
+        "prefix_factor": DEFAULT_PREFIX_FACTOR,
     }
     phase_start = perf_counter()
     prior_completed: Dict[int, Tuple[ExplorationStats, Dict[str, Any]]] = {}
@@ -919,24 +918,6 @@ def explore_parallel(build: Optional[Builder] = None,
                              perf_counter() - phase_start)
         metrics.shard_count = len(shards)
 
-    # Worker-side shard runner.  Workers resolve the scenario once per
-    # process (closures do not survive pickling; a ScenarioRef does) and
-    # fall back to the fork-inherited closures otherwise.
-    ctx_holder: Dict[str, Any] = {}
-
-    def shard_context():
-        if "build" not in ctx_holder:
-            if scenario is not None:
-                resolved = scenario.resolve()
-                ctx_holder["build"] = resolved.build
-                ctx_holder["check"] = resolved.check
-                ctx_holder["cpf"] = resolved.crash_plan_factory
-            else:
-                ctx_holder["build"] = build
-                ctx_holder["check"] = check
-                ctx_holder["cpf"] = crash_plan_factory
-        return ctx_holder["build"], ctx_holder["check"], ctx_holder["cpf"]
-
     def run_shard(payload):
         # Shards always report their counters -- a plain picklable dict
         # riding back beside the statistics -- because the worker cannot
@@ -946,8 +927,8 @@ def explore_parallel(build: Optional[Builder] = None,
         # statistics survive the worker pipe and the coordinator can
         # merge them before re-raising.
         prefix, sleep = payload
-        b, c, cpf = shard_context()
-        return execute_shard(b, c, cpf, prefix=prefix, sleep=sleep,
+        return execute_shard(build, check, crash_plan_factory,
+                             prefix=prefix, sleep=sleep,
                              max_steps=max_steps, max_runs=max_runs,
                              reduction=reduction,
                              state_cache=state_cache, deadline=deadline)
@@ -999,15 +980,14 @@ def explore_parallel(build: Optional[Builder] = None,
         # The pool's retry ladder ran out of wall clock; re-raise with
         # the coverage merged so far (expansion plus any journaled
         # completions).
+        raise _timeout_interrupt(stats)
+    finally:
         if frontier is not None:
             frontier.close()
-        raise _timeout_interrupt(stats)
     if metrics is not None:
         metrics.record_phase("shard_execution",
                              perf_counter() - phase_start)
         metrics.record_worker_tasks(task_log)
-    if frontier is not None:
-        frontier.close()
     phase_start = perf_counter()
     interrupt_reason: Optional[str] = None
     for pool_idx, outcome in enumerate(outcomes):
@@ -1032,35 +1012,12 @@ def explore_parallel(build: Optional[Builder] = None,
         metrics.record_stats(stats)
         metrics.absorb_counters(counters)
 
-    viol = stats.violation
-    if viol is not None:
-        # The winning (first-by-prefix-order) violation.  Shrinking and
-        # raising happen in the coordinator so the artifact carries live
-        # closures regardless of which worker found it.
-        if reduction == "naive":
-            raise AssertionError(viol.message)
-        if shrink:
-            phase_start = perf_counter()
-            counterexample = shrink_schedule(
-                build, check, list(viol.schedule),
-                crash_plan_factory=crash_plan_factory,
-                max_steps=max(max_steps, len(viol.schedule)))
-            if metrics is not None:
-                metrics.record_phase("shrink",
-                                     perf_counter() - phase_start)
-                metrics.ddmin_replays += counterexample.ddmin_attempts
-        else:
-            schedule = list(viol.schedule)
-            result = replay_schedule(
-                build, schedule, crash_plan_factory=crash_plan_factory,
-                max_steps=max(max_steps, len(schedule)))
-            counterexample = Counterexample(
-                prefix=schedule, tail=[], original_schedule=schedule,
-                error=AssertionError(viol.message), result=result,
-                build=build, check=check,
-                crash_plan_factory=crash_plan_factory,
-                max_steps=max(max_steps, len(schedule)))
-        raise CounterexampleFound(counterexample, stats)
+    if stats.violation is not None:
+        # The winning (first-by-prefix-order) violation, raised in the
+        # coordinator so the artifact carries live closures regardless
+        # of which worker found it.
+        raise_violation(stats, build, check, crash_plan_factory, max_steps,
+                        reduction, metrics=metrics)
     # A found violation outranks a budget interruption (above); with no
     # violation, a shard-side interruption surfaces with the statistics
     # merged from every shard that reported back.

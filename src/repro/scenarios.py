@@ -298,9 +298,12 @@ def build_scenario(name: str, n: int = 3, x: int = 2) -> CheckScenario:
 class ScenarioRef:
     """A picklable by-name reference to a registry scenario.
 
-    Parallel exploration ships this to worker processes instead of the
-    scenario's closures; each worker calls :meth:`resolve` once to
-    rebuild the identical scenario locally.
+    Closures do not cross a socket; a name does.  Socket shard workers
+    (:class:`repro.runtime.netshard.ShardWorker`) call :meth:`resolve`
+    once to rebuild the identical scenario locally, and
+    :func:`repro.runtime.parallel.explore_parallel` fills in a missing
+    ``build``/``check`` from it and names the run in the checkpoint
+    fingerprint.
     """
 
     name: str

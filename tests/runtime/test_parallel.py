@@ -17,7 +17,7 @@ import time
 import pytest
 
 import repro
-from repro.runtime import CounterexampleFound, explore, explore_dpor
+from repro.runtime import CounterexampleFound, explore
 from repro.runtime.parallel import (LeasePool, explore_parallel,
                                     fork_available, resolve_jobs, run_pool)
 from repro.scenarios import ScenarioRef, build_scenario, check_scenarios
@@ -133,14 +133,6 @@ class TestExploreParallel:
                           reduction="naive", jobs=2)
         assert (classic.complete_runs, classic.truncated_runs) == \
             (sharded.complete_runs, sharded.truncated_runs)
-
-    def test_explore_dpor_jobs_kwarg_routes_to_parallel(self):
-        sc = check_scenarios(n=2)["safe-agreement"]
-        via_dpor = explore_dpor(sc.build, sc.check,
-                                max_steps=sc.max_steps, jobs=2)
-        via_explore = explore(sc.build, sc.check, max_steps=sc.max_steps,
-                              reduction="dpor", jobs=2)
-        assert via_dpor == via_explore
 
     def test_scenario_ref_entry_point(self):
         stats = explore_parallel(jobs=2, max_steps=12,

@@ -96,6 +96,28 @@ def _fail_every_engine(monkeypatch):
         monkeypatch.setattr(module, engine, fail)
 
 
+def _violate_once(monkeypatch):
+    """Make queue-2cons's check fail on its first call only: a
+    violation that does not recur on replay (exit 4)."""
+    from repro import scenarios as scen
+
+    real = scen.check_scenarios
+    def flaky(n=3, x=2):
+        registry = real(n=n, x=x)
+        sc = registry["queue-2cons"]
+        check, calls = sc.check, []
+
+        def check_once(result):
+            calls.append(result)
+            assert len(calls) > 1, "fails on the first call only"
+            check(result)
+
+        sc.check = check_once
+        return registry
+
+    monkeypatch.setattr(scen, "check_scenarios", flaky)
+
+
 #: ``serve`` runs every shard in-process at once: no worker needed.
 SOLO = ["--solo-after", "0"]
 
@@ -112,6 +134,8 @@ EXIT_CODES = [
      "INTERRUPTED (max_runs)", "interrupted"),
     ("check", ["queue-2cons"], _fail_every_engine, 4,
      "ERROR (ShardFailed)", "error"),
+    ("check", ["queue-2cons"], _violate_once, 4,
+     "ERROR (ReplayDivergence)", "error"),
     ("serve", ["queue-2cons", *SOLO], None, 0, "PASSED", "passed"),
     ("serve", ["broken-demo", *SOLO], None, 1, "PROPERTY VIOLATED",
      "violation"),
@@ -132,13 +156,19 @@ EXIT_CODES = [
 ]
 
 
+def _row_id(row):
+    """``command-code``; the second exit-4 row is told apart."""
+    suffix = "-replay" if "ReplayDivergence" in row[4] else ""
+    return f"{row[0]}-{row[3]}{suffix}"
+
+
 class TestExitCodes:
     """0 pass, 1 violation, 2 configuration error, 3 budget interrupt,
     4 error -- for ``check``, ``serve`` and ``audit`` alike."""
 
     @pytest.mark.parametrize(
         "command,argv,rig,code,label,outcome",
-        [pytest.param(*row, id=f"{row[0]}-{row[3]}") for row in EXIT_CODES])
+        [pytest.param(*row, id=_row_id(row)) for row in EXIT_CODES])
     def test_exit_code_table(self, command, argv, rig, code, label,
                              outcome, tmp_path, monkeypatch, capsys):
         if rig is not None:
