@@ -194,6 +194,7 @@ def _outcome_ladder(name: str, exc: BaseException, metrics=None):
     from .lint import FootprintViolation
     from .runtime import (CounterexampleFound, ExplorationInterrupted,
                           FrontierMismatch)
+    from .runtime.dpor import is_check_failure
     if isinstance(exc, CounterexampleFound):
         cex = exc.counterexample
         print(f"[{name}] PROPERTY VIOLATED ({exc.stats})")
@@ -205,10 +206,12 @@ def _outcome_ladder(name: str, exc: BaseException, metrics=None):
                                      prefix=cex.prefix,
                                      schedule=cex.schedule)
         return 1, "violation"
-    if isinstance(exc, AssertionError):
-        # The naive engine reports the bare failure; only DPOR shrinks
-        # it to a replayable counterexample.
-        print(f"[{name}] PROPERTY VIOLATED: {exc}")
+    if isinstance(exc, AssertionError) or is_check_failure(exc):
+        # The naive engine reports the check's bare failure, of any
+        # type; only DPOR shrinks it to a replayable counterexample.
+        detail = (exc if isinstance(exc, AssertionError)
+                  else f"{type(exc).__name__}: {exc}")
+        print(f"[{name}] PROPERTY VIOLATED: {detail}")
         print(f"[{name}] (rerun without --naive for a shrunk "
               f"counterexample)")
         if metrics is not None:
@@ -258,6 +261,7 @@ def _explore_scenario(name: str, sc, args: argparse.Namespace,
     from time import monotonic, perf_counter
 
     from .runtime import ShardServer, explore, explore_parallel
+    from .runtime.dpor import is_check_failure
     from .scenarios import ScenarioRef
 
     if args.checkpoint and args.resume:
@@ -305,7 +309,10 @@ def _explore_scenario(name: str, sc, args: argparse.Namespace,
                 deadline=(monotonic() + args.timeout
                           if args.timeout else None))
         exit_code, outcome = 0, "passed"
-    except (AssertionError, RuntimeError) as exc:
+    except Exception as exc:  # noqa: BLE001 - an engine bug re-raises
+        if not (isinstance(exc, (AssertionError, RuntimeError))
+                or is_check_failure(exc)):
+            raise
         exit_code, outcome = _outcome_ladder(name, exc, metrics)
     if metrics is not None and outcome is not None:
         if isinstance(pool, ShardServer):
@@ -477,8 +484,9 @@ def cmd_mutants(args: argparse.Namespace) -> int:
     from .mutants import MUTANTS, get_mutant
 
     if args.list:
+        width = max(len(mutant.name) for mutant in MUTANTS)
         for mutant in MUTANTS:
-            print(f"{mutant.name:26s} [{mutant.expected_stage:7s}] "
+            print(f"{mutant.name:{width}s} [{mutant.expected_stage:7s}] "
                   f"{mutant.description}")
         return 0
     if args.name:

@@ -26,8 +26,9 @@ Objects declare:
 
 from __future__ import annotations
 
+import sys
 from abc import ABC
-from typing import Any, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from ..runtime.ops import Footprint
 
@@ -92,6 +93,12 @@ class ProtocolViolation(RuntimeError):
     operation invoked twice by the same process)."""
 
 
+#: ``method`` -> its interned handler name ``"op_" + method``: formatting
+#: the name on every call, and looking up a fresh string, cost
+#: :meth:`SharedObject.apply` more than the dict lookup.
+_HANDLER_NAMES: Dict[str, str] = {}
+
+
 class SharedObject(ABC):
     """Base class for atomic shared objects."""
 
@@ -108,8 +115,12 @@ class SharedObject(ABC):
     # ------------------------------------------------------------------
     def apply(self, pid: int, method: str, args: Tuple[Any, ...]) -> Any:
         """Execute ``method(*args)`` atomically on behalf of ``pid``."""
-        self.check_port(pid, method)
-        handler = getattr(self, f"op_{method}", None)
+        if self.ports is not None:
+            self.check_port(pid, method)
+        name = _HANDLER_NAMES.get(method)
+        if name is None:
+            name = _HANDLER_NAMES[method] = sys.intern(f"op_{method}")
+        handler = getattr(self, name, None)
         if handler is None:
             raise ProtocolViolation(
                 f"object {self.name!r} ({type(self).__name__}) has no "

@@ -19,7 +19,24 @@ stateless model-checking devices:
   executed steps (program order + footprint-conflict order).  We add a
   backtrack point for *every* racing earlier step, a superset of the
   classic last-racer rule -- slightly more exploration, comfortably
-  sound.
+  sound.  Race checks are *incremental*: a new node re-checks only the
+  newest step for every candidate that did not step, was a candidate
+  at the parent and kept its (interned) pending footprint.  Such a
+  candidate's past is the parent's, and the parent's scan already
+  checked it against every older step; those plants still stand,
+  because no ancestor's ``done`` or ``sleep`` set changes while the
+  search is below it, and a plant is idempotent.  Each node records
+  every candidate's racing steps, carried forward for the unchanged
+  ones, and the stepping process's clock joins only its racers at the
+  parent: every other conflicting step is its own or already in its
+  past, so joining it would change nothing.  The whole path is scanned
+  only for the stepping process, a process that just became
+  schedulable (a spinner a write woke) or a footprint that changed, and
+  below a node no scan reached (a shard prefix); a crash step, whose
+  footprint is not the one checked at its parent, takes its clock from
+  a scan too.  The scans skip steps already in the clock.
+  ``tests/runtime/test_incremental_races.py`` checks every node
+  against the whole-path reference.
 * **Sleep sets** (Godefroid 1996): a process whose next step was already
   explored from this state, and which is independent of everything
   executed since, need not be re-scheduled -- subtrees whose every
@@ -186,32 +203,39 @@ class _System:
             max_steps=10 ** 9,
         )
         self.deadlocked = False
+        self._order = sorted(self.handles.items())
+        # pid -> (pending operation, its memoized footprint)
+        self._pending: Dict[int, Tuple[Any, Footprint]] = {}
 
     # ------------------------------------------------------------------
-    def _stutters(self, handle: ProcessHandle) -> bool:
-        """Exact stutter pruning: a process whose single-condition spin
-        already failed since the last state-changing step would
-        deterministically fail again."""
-        return (isinstance(handle.pending, SpinOp)
-                and handle.pending.period == 1
-                and handle.spin_failures > 0)
-
     def candidates(self) -> List[int]:
         """Schedulable processes at the current state (sorted).
 
         Pre-advances never-started generators to their first yield so
         every live process has a known pending operation (processes that
         finish without yielding decide immediately -- an invisible,
-        footprint-free event).  If every enabled process is a provably
+        footprint-free event).  A process whose single-condition spin
+        already failed since the last state-changing step would
+        deterministically fail again, so it stutters and is left out
+        (exact stutter pruning).  If every enabled process is a provably
         stuck spinner, they are retired as BLOCKED and the state is
         terminal (permanent deadlock, exactly detected).
         """
-        for handle in self.handles.values():
-            if handle.alive and handle.pending is None:
+        running = ProcessStatus.RUNNING
+        enabled: List[int] = []
+        cands: List[int] = []
+        for pid, handle in self._order:
+            if handle.status is not running:
+                continue
+            if handle.pending is None:
                 handle.advance()
-        enabled = sorted(pid for pid, h in self.handles.items() if h.alive)
-        cands = [pid for pid in enabled
-                 if not self._stutters(self.handles[pid])]
+                if handle.status is not running:
+                    continue
+            enabled.append(pid)
+            op = handle.pending
+            if not (isinstance(op, SpinOp) and op.period == 1
+                    and handle.spin_failures > 0):
+                cands.append(pid)
         if enabled and not cands:
             self.deadlocked = True
             for pid in enabled:
@@ -225,11 +249,16 @@ class _System:
         Always the interned copy (see :class:`_Footprints`).  Memoized
         per ``(pid, obj, method, args)`` when the target object declares
         its footprints pure (``FOOTPRINT_PURE``, the default); unhashable
-        arguments fall back to direct derivation.
+        arguments fall back to direct derivation.  A memoized answer is
+        also kept per pid beside the pending operation it answers for,
+        so a process that has not stepped since skips the memo key.
         """
         op = self.handles[pid].pending
         if op is None:
             return None
+        last = self._pending.get(pid)
+        if last is not None and last[0] is op:
+            return last[1]
         inv = op.invocation if isinstance(op, SpinOp) else op
         if not isinstance(inv, Invocation):
             return None
@@ -239,17 +268,19 @@ class _System:
             fp = table.derived.get(key)
         except TypeError:  # unhashable args: derive directly
             return table.intern(self.store.footprint(pid, inv))
-        if fp is not None:
-            return fp
-        obj = self.store[inv.obj]
-        fp = table.intern(obj.footprint(pid, inv.method, inv.args))
-        if obj.FOOTPRINT_PURE:
+        if fp is None:
+            obj = self.store[inv.obj]
+            fp = table.intern(obj.footprint(pid, inv.method, inv.args))
+            if not obj.FOOTPRINT_PURE:
+                return fp
             table.derived[key] = fp
+        self._pending[pid] = (op, fp)
         return fp
 
     def alive_footprints(self) -> Dict[int, Optional[Footprint]]:
+        running = ProcessStatus.RUNNING
         return {pid: self.pending_footprint(pid)
-                for pid, h in self.handles.items() if h.alive}
+                for pid, h in self._order if h.status is running}
 
     def execute(self, pid: int) -> Optional[Footprint]:
         """Execute one step of ``pid``; returns the footprint exercised.
@@ -518,8 +549,10 @@ def raise_violation(stats: ExplorationStats,
     :class:`~repro.runtime.explore.ReplayDivergence` -- the build or
     the check is not deterministic, and no verdict can rest on the
     run.  Under ``reduction="naive"`` the check's own exception is then
-    raised.  Under DPOR the schedule is ddmin-shrunk
-    (:func:`shrink_schedule`; kept whole when ``shrink=False``) and
+    raised, carrying the collected violation as its ``violation``
+    attribute (:func:`is_check_failure`).  Under DPOR the schedule is
+    ddmin-shrunk (:func:`shrink_schedule`; kept whole when
+    ``shrink=False``) and
     :class:`CounterexampleFound` is raised, carrying ``stats``; the
     ``shrink`` phase and ``ddmin_replays`` go to ``metrics``.
     """
@@ -538,6 +571,7 @@ def raise_violation(stats: ExplorationStats,
             f"the violation on schedule {schedule} "
             f"({stats.violation.message}) did not recur on replay")
     if reduction == "naive":
+        error.violation = stats.violation  # the check's own, not a bug
         raise error
     if shrink:
         counterexample = shrink_schedule(
@@ -554,6 +588,13 @@ def raise_violation(stats: ExplorationStats,
     raise CounterexampleFound(counterexample, stats) from error
 
 
+def is_check_failure(exc: BaseException) -> bool:
+    """Is ``exc`` a check's own exception, raised by
+    :func:`raise_violation` under naive exploration (whatever its
+    type), rather than an error of the engine?"""
+    return isinstance(getattr(exc, "violation", None), ShardViolation)
+
+
 # ---------------------------------------------------------------------------
 # The DPOR search itself.
 # ---------------------------------------------------------------------------
@@ -565,11 +606,15 @@ class _Node:
     step that produced this state); the root carries ``None`` for all
     three.  ``cv_proc`` maps each process to the vector clock of its last
     executed step -- the happens-before past of its next transition.
+    ``racers`` maps each candidate to the indices (ascending) of the
+    executed steps its pending step races with; it is ``None`` on a
+    node race detection never scanned (a shard-prefix node).
     """
 
     __slots__ = ("in_pid", "in_fp", "in_clock", "cv_proc", "candidates",
                  "pending_fps", "sleep", "backtrack", "done", "visited",
-                 "fpr", "snap", "sub_pairs", "sub_max", "fp_parts")
+                 "racers", "fpr", "snap", "sub_pairs", "sub_max",
+                 "fp_parts")
 
     def __init__(self, in_pid, in_fp, in_clock, cv_proc, candidates,
                  pending_fps, sleep) -> None:
@@ -583,6 +628,7 @@ class _Node:
         self.backtrack: Set[int] = set()
         self.done: Set[int] = set()
         self.visited = False
+        self.racers: Optional[Dict[int, Tuple[int, ...]]] = None
         # State-cache bookkeeping (unused when the cache is disabled):
         # the state fingerprint, the statistics snapshot taken when this
         # node was pushed, the (pid, footprint) race summary plus depth
@@ -603,27 +649,50 @@ def _make_node(sysm: _System, parent: Optional[_Node], pick: Optional[int],
     """Build the node reached by executing ``pick`` (with footprint
     ``fp``) from ``parent``; ``path`` holds the states *before* this one
     and ``conflict`` is the exploration's memoised conflict relation.
+
+    The step's clock is ``pick``'s past joined with the clock of every
+    earlier step it conflicts with.  When ``fp`` is the footprint race
+    detection checked at ``parent``, only ``pick``'s racers there need
+    joining: every other conflicting step is ``pick``'s own or already
+    in its past.  Otherwise (a crash, whose footprint is empty, or a
+    shard-prefix parent) the path is scanned, newest step first,
+    skipping steps already in the clock.
     """
     if parent is None:
-        cv_proc: Dict[int, Dict[int, int]] = {}
-        in_clock = None
+        node = _Node(None, None, None, {}, sysm.candidates(),
+                     sysm.alive_footprints(), sleep)
+        node.racers = {p: () for p in node.candidates}  # no step to race
+        return node
+    index = len(path)  # 1-based index of the incoming step
+    clock = dict(parent.cv_proc.get(pick, ()))
+    racers = parent.racers
+    if racers is not None and fp is parent.pending_fps.get(pick):
+        steps, scan = racers[pick], False
     else:
-        index = len(path)  # 1-based index of the incoming step
-        clock = dict(parent.cv_proc.get(pick, {}))
-        for j in range(1, len(path)):
-            step = path[j]
-            if conflict(step.in_fp, fp):
-                for q, k in step.in_clock.items():
-                    if clock.get(q, 0) < k:
-                        clock[q] = k
-        clock[pick] = index
-        cv_proc = dict(parent.cv_proc)
-        cv_proc[pick] = clock
-        in_clock = clock
-    candidates = sysm.candidates()
-    pending_fps = sysm.alive_footprints()
-    return _Node(pick, fp, in_clock, cv_proc, candidates, pending_fps,
-                 sleep)
+        steps, scan = range(1, index), True
+    for j in reversed(steps):
+        step = path[j]
+        if j > clock.get(step.in_pid, 0) and (
+                not scan or conflict(step.in_fp, fp)):
+            for q, k in step.in_clock.items():
+                if clock.get(q, 0) < k:
+                    clock[q] = k
+    clock[pick] = index
+    cv_proc = dict(parent.cv_proc)
+    cv_proc[pick] = clock
+    return _Node(pick, fp, clock, cv_proc, sysm.candidates(),
+                 sysm.alive_footprints(), sleep)
+
+
+def _plant(pre: _Node, p: int) -> None:
+    """Backtrack point for a race of ``p`` with the step taken from
+    ``pre``: ``p`` itself if it was schedulable there, otherwise
+    conservatively every candidate of ``pre``."""
+    if p in pre.candidates:
+        if p not in pre.done and p not in pre.sleep:
+            pre.backtrack.add(p)
+    else:
+        pre.backtrack.update(pre.candidates)
 
 
 def _update_backtracks(path: List[_Node],
@@ -633,25 +702,48 @@ def _update_backtracks(path: List[_Node],
     earlier executed step it conflicts with (``conflict``, the
     exploration's memoised relation) but is not already happens-after;
     each such race plants a backtrack point at the state the earlier
-    step executed from (the candidate itself if it was schedulable
-    there, otherwise conservatively every candidate of that state)."""
+    step executed from (:func:`_plant`).
+
+    A candidate that did not step, was a candidate at the parent and
+    kept its (interned) pending footprint has the parent's past and was
+    checked there against every earlier step; the parent's plants still
+    stand, since no ancestor's ``done`` or ``sleep`` set changes while
+    the search is below it and a plant is idempotent.  Such a candidate
+    is checked against the newest step only, and inherits the parent's
+    racers.  The others -- the stepping process, a process that just
+    became schedulable, and every candidate below a node that was never
+    scanned -- are checked against the whole path.
+    """
     node = path[-1]
     depth = len(path) - 1
+    parent = path[-2]
+    pick, fp = node.in_pid, node.in_fp
+    known = parent.racers
+    parent_fps = parent.pending_fps
+    racers: Dict[int, Tuple[int, ...]] = {}
     for p in node.candidates:
         f_p = node.pending_fps.get(p)
+        if (known is not None and p != pick and p in known
+                and parent_fps.get(p) is f_p):
+            found = known[p]
+            if conflict(fp, f_p):
+                found += (depth,)
+                _plant(parent, p)
+            racers[p] = found
+            continue
         past = node.cv_proc.get(p, {})
+        hits = []
         for j in range(depth, 0, -1):
             step = path[j]
             q = step.in_pid
             if q == p or j <= past.get(q, 0):
                 continue
             if conflict(step.in_fp, f_p):
-                pre = path[j - 1]
-                if p in pre.candidates:
-                    if p not in pre.done and p not in pre.sleep:
-                        pre.backtrack.add(p)
-                else:
-                    pre.backtrack.update(pre.candidates)
+                hits.append(j)
+                _plant(path[j - 1], p)
+        hits.reverse()
+        racers[p] = tuple(hits)
+    node.racers = racers
 
 
 def _work_remains(path: List[_Node]) -> bool:
@@ -1058,25 +1150,25 @@ def _explore_core(build: Builder,
                 pop_top()
                 continue
             node.backtrack.add(explorable[0])
-        pick = min((p for p in node.backtrack
-                    if p not in node.done and p not in node.sleep),
-                   default=None)
-        if pick is None:
+        todo = node.backtrack - node.done - node.sleep
+        if not todo:
             # Fully explored; candidates never scheduled here were pruned
-            # by the persistent-set/sleep-set argument.
-            stats.pruned_runs += sum(1 for p in node.candidates
-                                     if p not in node.done)
+            # by the persistent-set/sleep-set argument (every pick is a
+            # candidate, so ``done`` is a subset of ``candidates``).
+            stats.pruned_runs += len(node.candidates) - len(node.done)
             pop_top()
             continue
         if not synced:
             sysm = _System(build, crash_plan_factory, footprints)
+            execute = sysm.execute
             for n in path[1:]:
-                if sysm.execute(n.in_pid) is not n.in_fp:
+                if execute(n.in_pid) is not n.in_fp:
                     raise ReplayDivergence(
                         f"re-sync diverged: step {path.index(n)} "
                         f"({n.in_pid}) did not repeat its recorded "
                         f"footprint")
             synced = True
+        pick = min(todo)
         node.done.add(pick)
         fp = sysm.execute(pick)
         child_sleep = {

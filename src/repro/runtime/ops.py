@@ -28,7 +28,7 @@ top-level scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, FrozenSet, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,14 +255,26 @@ class ObjectProxy:
     """Builds :class:`Invocation` descriptors with attribute syntax.
 
     ``mem = ObjectProxy('mem'); mem.write(3, 'v')`` produces
-    ``Invocation('mem', 'write', (3, 'v'))``.  Proxies hold no state: they
-    are a purely syntactic convenience for process code.
+    ``Invocation('mem', 'write', (3, 'v'))``.  Proxies hold no state
+    beyond the builders they have handed out: they are a purely
+    syntactic convenience for process code.
+
+    There is one proxy per name (``ObjectProxy('mem') is
+    ObjectProxy('mem')``), and a builder, once made, is kept as an
+    attribute of it.  Protocol objects make their proxies afresh for
+    every run, and every step of process code looks a builder up: an
+    attribute miss, which calls :meth:`__getattr__`, cost more than the
+    builder's own call.
     """
 
-    __slots__ = ("_name",)
+    _interned: Dict[str, "ObjectProxy"] = {}
 
-    def __init__(self, name: str) -> None:
-        self._name = name
+    def __new__(cls, name: str) -> "ObjectProxy":
+        proxy = cls._interned.get(name)
+        if proxy is None:
+            proxy = cls._interned[name] = super().__new__(cls)
+            proxy._name = name
+        return proxy
 
     @property
     def name(self) -> str:
@@ -271,12 +283,18 @@ class ObjectProxy:
     def __getattr__(self, method: str) -> Callable[..., Invocation]:
         if method.startswith("_"):
             raise AttributeError(method)
+        name = self._name
 
         def build(*args: Any) -> Invocation:
-            return Invocation(self._name, method, tuple(args))
+            return Invocation(name, method, args)
 
-        build.__name__ = f"{self._name}.{method}"
+        build.__name__ = f"{name}.{method}"
+        setattr(self, method, build)
         return build
+
+    def __reduce__(self):
+        # By name: the kept builders are closures, which do not pickle.
+        return (ObjectProxy, (self._name,))
 
     def __repr__(self) -> str:
         return f"ObjectProxy({self._name!r})"

@@ -1,5 +1,7 @@
 """Unit tests for operation descriptors and proxies."""
 
+import pickle
+
 import pytest
 
 from repro.runtime.ops import (SPIN_FAILED, Invocation, ObjectProxy, SpinOp,
@@ -36,6 +38,13 @@ class TestObjectProxy:
     def test_private_attributes_raise(self):
         with pytest.raises(AttributeError):
             ObjectProxy("m")._private
+
+    def test_one_proxy_per_name_pickled_by_name(self):
+        mem = ObjectProxy("mem")
+        assert mem.write(3, 10) == mem.write(3, 10)
+        assert ObjectProxy("mem") is mem
+        assert ObjectProxy("other") is not mem
+        assert pickle.loads(pickle.dumps(mem)) is mem
 
     def test_indexed_proxy_naming(self):
         p = indexed_proxy("x_cons", 3)

@@ -45,6 +45,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_mutants_list_aligns_the_stage_column(self, capsys):
+        assert main(["mutants", "--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) > 1
+        assert len({line.index(" [") for line in lines}) == 1
+
 
 def _records(path):
     import json
@@ -118,6 +124,24 @@ def _violate_once(monkeypatch):
     monkeypatch.setattr(scen, "check_scenarios", flaky)
 
 
+def _check_raises_key_error(monkeypatch):
+    """Make queue-2cons's check fail with a ``KeyError``: under
+    ``--naive`` the check's own exception leaves the engine (exit 1)."""
+    from repro import scenarios as scen
+
+    real = scen.check_scenarios
+    def keyed(n=3, x=2):
+        registry = real(n=n, x=x)
+
+        def check(result):
+            raise KeyError("no such decision")
+
+        registry["queue-2cons"].check = check
+        return registry
+
+    monkeypatch.setattr(scen, "check_scenarios", keyed)
+
+
 #: ``serve`` runs every shard in-process at once: no worker needed.
 SOLO = ["--solo-after", "0"]
 
@@ -129,6 +153,8 @@ EXIT_CODES = [
     ("check", ["queue-2cons"], None, 0, "PASSED", "passed"),
     ("check", ["broken-demo"], None, 1, "PROPERTY VIOLATED",
      "violation"),
+    ("check", ["queue-2cons", "--naive"], _check_raises_key_error, 1,
+     "PROPERTY VIOLATED: KeyError", "violation"),
     ("check", ["no-such-scenario"], None, 2, "unknown scenario", None),
     ("check", ["adopt-commit", "--max-runs", "1"], None, 3,
      "INTERRUPTED (max_runs)", "interrupted"),
@@ -157,8 +183,10 @@ EXIT_CODES = [
 
 
 def _row_id(row):
-    """``command-code``; the second exit-4 row is told apart."""
-    suffix = "-replay" if "ReplayDivergence" in row[4] else ""
+    """``command-code``; the second exit-4 row and the ``--naive`` row
+    are told apart."""
+    suffix = ("-replay" if "ReplayDivergence" in row[4]
+              else "-naive" if "--naive" in row[1] else "")
     return f"{row[0]}-{row[3]}{suffix}"
 
 
@@ -206,6 +234,17 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert "no scenario given" in captured.err
         assert "safe-agreement" in captured.out
+
+    def test_an_engine_error_is_not_a_violation(self, monkeypatch):
+        # Only a check's own exception, marked by the engine, is a
+        # verdict; any other exception of an unlisted type propagates.
+        import repro.runtime
+
+        def broken(*args, **kwargs):
+            raise KeyError("engine bug")
+        monkeypatch.setattr(repro.runtime, "explore", broken)
+        with pytest.raises(KeyError, match="engine bug"):
+            main(["check", "queue-2cons", "--naive"])
 
     def test_passing_scenario_exits_zero(self, capsys):
         assert main(["check", "queue-2cons"]) == 0
