@@ -790,8 +790,8 @@ def _add_exploration_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=0.0,
                    metavar="SECONDS",
                    help="wall-clock budget per scenario; on expiry the "
-                        "sweep stops cleanly, emits a partial metrics "
-                        "record, and exits 3")
+                        "exploration stops cleanly, emits a partial "
+                        "metrics record, and exits 3")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="journal the exploration to a durable frontier "
                         "store at PATH (fresh store; overwrites an "

@@ -190,8 +190,8 @@ class ExplorationMetrics:
     ever enters ``ExplorationStats``**, so the jobs=1 == jobs=N
     bit-for-bit guarantee on merged statistics is untouched.
 
-    The engines talk to this object through four duck-typed methods --
-    :meth:`record_phase`, :meth:`absorb_counters`, :meth:`record_stats`,
+    The engines talk to this object through three duck-typed methods --
+    :meth:`record_phase`, :meth:`record_stats`,
     :meth:`record_worker_tasks` -- so ``repro.runtime`` never has to
     import ``repro.analysis``.
     """
@@ -235,28 +235,18 @@ class ExplorationMetrics:
         """Accumulate wall-clock time into one named phase."""
         self.phases[name] = self.phases.get(name, 0.0) + seconds
 
-    def absorb_counters(self, counters: Optional[Dict[str, Any]]) -> None:
-        """Fold an engine's plain-dict counter channel into this record.
-
-        The engines (and their forked shard workers, whose counters come
-        back over the result pipe) report into picklable plain dicts;
-        additive counters sum and watermarks take the max.
-        """
-        if not counters:
-            return
-        self.sleep_set_hits += counters.get("sleep_hits", 0)
-        self.sleep_set_checks += counters.get("sleep_checks", 0)
-        self.cache_hits += counters.get("cache_hits", 0)
-        self.cache_skipped_runs += counters.get("cache_skipped_runs", 0)
-        self.peak_frontier_size = max(self.peak_frontier_size,
-                                      counters.get("peak_frontier", 0))
-
     def record_stats(self, stats: Any) -> None:
-        """Copy the final (merged) ExplorationStats run counts."""
+        """Copy every count of the final (merged, or partial)
+        :class:`~repro.runtime.explore.ExplorationStats`."""
         self.complete_runs = stats.complete_runs
         self.truncated_runs = stats.truncated_runs
         self.pruned_runs = stats.pruned_runs
         self.max_depth_seen = stats.max_depth_seen
+        self.peak_frontier_size = stats.peak_frontier
+        self.sleep_set_hits = stats.sleep_hits
+        self.sleep_set_checks = stats.sleep_checks
+        self.cache_hits = stats.cache_hits
+        self.cache_skipped_runs = stats.cache_skipped_runs
 
     def record_network(self, tallies: Dict[str, Any]) -> None:
         """Record socket-transport tallies from a ``serve`` run.

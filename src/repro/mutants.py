@@ -771,7 +771,7 @@ def _netshard_accept_stale_result() -> Optional[str]:
                                      max_depth_seen=42)
             server.handle_message(
                 {"type": "complete", "worker_id": wid, "shard": shard,
-                 "stats": stats_to_dict(alien), "counters": {}},
+                 "stats": stats_to_dict(alien)},
                 now=1e9)
             while not server.done:
                 server.run_one_inprocess()

@@ -770,26 +770,19 @@ class _CacheEntry:
     reuse the folded run counts over-approximate what re-exploration
     would have counted, which is why differential comparisons go
     through ``ExplorationStats.deterministic_view`` rather than raw
-    counts.  ``complete`` / ``truncated`` / ``pruned`` are the
-    run-count deltas the subtree contributed; ``sleep_checks`` /
-    ``sleep_hits`` the metrics-counter deltas; ``pairs`` the (pid,
-    footprint) summary of every step candidate *strictly below* the
-    node, used by :func:`_plants_are_noops`; ``rel_max`` the subtree's
-    depth watermark relative to the node.
+    counts.  ``delta`` holds the run and sleep-set counts the subtree
+    contributed; ``pairs`` the (pid, footprint) summary of every step
+    candidate *strictly below* the node, used by
+    :func:`_plants_are_noops`; ``rel_max`` the subtree's depth
+    watermark relative to the node.
     """
 
-    __slots__ = ("sleep", "rem", "complete", "truncated", "pruned",
-                 "sleep_checks", "sleep_hits", "pairs", "rel_max")
+    __slots__ = ("sleep", "rem", "delta", "pairs", "rel_max")
 
-    def __init__(self, sleep, rem, complete, truncated, pruned,
-                 sleep_checks, sleep_hits, pairs, rel_max) -> None:
+    def __init__(self, sleep, rem, delta, pairs, rel_max) -> None:
         self.sleep: frozenset = sleep
         self.rem: int = rem
-        self.complete: int = complete
-        self.truncated: int = truncated
-        self.pruned: int = pruned
-        self.sleep_checks: int = sleep_checks
-        self.sleep_hits: int = sleep_hits
+        self.delta: ExplorationStats = delta
         self.pairs: frozenset = pairs
         self.rel_max: int = rel_max
 
@@ -851,16 +844,13 @@ class _StateCache:
     :func:`_plants_are_noops` for the exactness argument).
     """
 
-    __slots__ = ("fingerprinter", "entries", "hits", "skipped_runs",
-                 "_full_override")
+    __slots__ = ("fingerprinter", "entries", "_full_override")
 
     def __init__(self, fingerprinter: Optional[Fingerprinter] = None
                  ) -> None:
         self.fingerprinter = (fingerprinter if fingerprinter is not None
                               else Fingerprinter())
         self.entries: Dict[tuple, List[_CacheEntry]] = {}
-        self.hits = 0
-        self.skipped_runs = 0
         # A subclass overriding the whole-system ``fingerprint`` (e.g. a
         # deliberately-colliding test stub) must see every state: the
         # incremental part-reuse path below would silently bypass it.
@@ -918,17 +908,14 @@ class _StateCache:
         return f.assemble(sysm, obj_parts, heavy), (obj_parts, heavy)
 
     def record(self, fpr: tuple, sleep: frozenset, rem: int,
-               complete: int, truncated: int, pruned: int,
-               sleep_checks: int, sleep_hits: int,
-               pairs: frozenset, rel_max: int) -> None:
+               delta: ExplorationStats, pairs: frozenset,
+               rel_max: int) -> None:
         """Store the expansion outcome of one popped node."""
         bucket = self.entries.setdefault(fpr, [])
         for entry in bucket:
             if entry.sleep == sleep and entry.rem == rem:
                 return  # an identical expansion is already recorded
-        bucket.append(_CacheEntry(sleep, rem, complete, truncated,
-                                  pruned, sleep_checks, sleep_hits,
-                                  pairs, rel_max))
+        bucket.append(_CacheEntry(sleep, rem, delta, pairs, rel_max))
 
     def lookup(self, fpr: tuple, sleep: Set[int], rem: int,
                path: List[_Node], base: int,
@@ -942,8 +929,6 @@ class _StateCache:
             if (entry.rem >= rem and entry.sleep.issubset(sleep)
                     and _plants_are_noops(entry.pairs, path, base,
                                           conflict)):
-                self.hits += 1
-                self.skipped_runs += entry.complete + entry.truncated
                 return entry
         return None
 
@@ -956,7 +941,6 @@ def _explore_core(build: Builder,
                   max_runs: int = 200_000,
                   prefix: Sequence[int] = (),
                   root_sleep: Sequence[int] = (),
-                  counters: Optional[Dict[str, Any]] = None,
                   deadline: Optional[float] = None,
                   state_cache: bool = False,
                   fingerprinter: Optional[Fingerprinter] = None
@@ -982,12 +966,8 @@ def _explore_core(build: Builder,
     return its recorded (interned) footprint raises
     :class:`~repro.runtime.explore.ReplayDivergence`.
 
-    ``counters`` is an optional plain-dict metrics channel (picklable,
-    so shard workers can ship it back over their result pipe): sleep-set
-    hit accounting and cache hit/skip counts go there, never into
-    ``ExplorationStats`` --
-    collecting metrics cannot perturb the deterministic statistics
-    contract.
+    Sleep-set accounting and the cache's hit/skip counts are part of
+    the returned statistics, like the run counts.
 
     ``state_cache`` enables the prefix-equivalence cache
     (:class:`_StateCache`, default off): subtrees rooted at an
@@ -1026,12 +1006,6 @@ def _explore_core(build: Builder,
                                  cache.fingerprinter.heavy_parts(sysm))
     synced = True
 
-    def counter_snapshot() -> Tuple[int, int]:
-        if counters is None:
-            return (0, 0)
-        return (counters.get("sleep_checks", 0),
-                counters.get("sleep_hits", 0))
-
     def fold_into_parent(child: _Node, pairs, sub_max: int) -> None:
         # The parent's subtree summary gains the popped/skipped child's
         # descendants plus the child's own step candidates (the child is
@@ -1062,14 +1036,14 @@ def _explore_core(build: Builder,
         if d <= base:
             return
         snap = child.snap
-        c_checks, c_hits = counter_snapshot()
-        cache.record(
-            child.fpr, frozenset(child.sleep), max_steps - d,
-            stats.complete_runs - snap[0],
-            stats.truncated_runs - snap[1],
-            stats.pruned_runs - snap[2],
-            c_checks - snap[3], c_hits - snap[4],
-            frozenset(child.sub_pairs), child.sub_max - d)
+        delta = ExplorationStats(
+            complete_runs=stats.complete_runs - snap[0],
+            truncated_runs=stats.truncated_runs - snap[1],
+            pruned_runs=stats.pruned_runs - snap[2],
+            sleep_checks=stats.sleep_checks - snap[3],
+            sleep_hits=stats.sleep_hits - snap[4])
+        cache.record(child.fpr, frozenset(child.sleep), max_steps - d,
+                     delta, frozenset(child.sub_pairs), child.sub_max - d)
         fold_into_parent(child, child.sub_pairs, child.sub_max)
 
     def try_cache(child: _Node, parent: _Node, pick: int,
@@ -1085,27 +1059,24 @@ def _explore_core(build: Builder,
         child.sub_max = d
         child.fpr, child.fp_parts = cache.fingerprint_node(
             sysm, parent, pick, step_fp)
-        child.snap = ((stats.complete_runs, stats.truncated_runs,
-                       stats.pruned_runs) + counter_snapshot())
+        child.snap = (stats.complete_runs, stats.truncated_runs,
+                      stats.pruned_runs, stats.sleep_checks,
+                      stats.sleep_hits)
         entry = cache.lookup(child.fpr, child.sleep, max_steps - d,
                              path, base, conflict)
         if entry is None:
             return False
-        stats.complete_runs += entry.complete
-        stats.truncated_runs += entry.truncated
-        stats.pruned_runs += entry.pruned
+        delta = entry.delta
+        stats.complete_runs += delta.complete_runs
+        stats.truncated_runs += delta.truncated_runs
+        stats.pruned_runs += delta.pruned_runs
+        stats.sleep_checks += delta.sleep_checks
+        stats.sleep_hits += delta.sleep_hits
+        stats.cache_hits += 1
+        stats.cache_skipped_runs += delta.total_runs
         reach = min(d + entry.rel_max, max_steps)
         if reach > stats.max_depth_seen:
             stats.max_depth_seen = reach
-        if counters is not None:
-            counters["sleep_checks"] = (counters.get("sleep_checks", 0)
-                                        + entry.sleep_checks)
-            counters["sleep_hits"] = (counters.get("sleep_hits", 0)
-                                      + entry.sleep_hits)
-            counters["cache_hits"] = counters.get("cache_hits", 0) + 1
-            counters["cache_skipped_runs"] = (
-                counters.get("cache_skipped_runs", 0)
-                + entry.complete + entry.truncated)
         path.pop()
         synced = False
         fold_into_parent(child, entry.pairs,
@@ -1137,12 +1108,8 @@ def _explore_core(build: Builder,
                 check_budget()
                 continue
             explorable = [p for p in node.candidates if p not in node.sleep]
-            if counters is not None:
-                counters["sleep_checks"] = (counters.get("sleep_checks", 0)
-                                            + len(node.candidates))
-                counters["sleep_hits"] = (counters.get("sleep_hits", 0)
-                                          + len(node.candidates)
-                                          - len(explorable))
+            stats.sleep_checks += len(node.candidates)
+            stats.sleep_hits += len(node.candidates) - len(explorable)
             if not explorable:
                 # Every candidate sleeps: the whole subtree is equivalent
                 # to schedules already explored elsewhere.
@@ -1218,9 +1185,9 @@ def explore_dpor(build: Builder,
     raises :class:`~repro.runtime.explore.ReplayDivergence`.
 
     ``metrics`` is an optional
-    :class:`repro.analysis.metrics.ExplorationMetrics` collector;
-    timing and sleep-set/ddmin counters are recorded beside the returned
-    statistics, which stay bit-for-bit unchanged.
+    :class:`repro.analysis.metrics.ExplorationMetrics` collector; it
+    gets the wall-clock phases, the ddmin replay count and a copy of
+    the returned statistics, which stay bit-for-bit unchanged.
 
     ``deadline`` is an absolute ``time.monotonic()`` instant (computed
     by :func:`repro.runtime.explore.explore` from its ``timeout``);
@@ -1234,11 +1201,10 @@ def explore_dpor(build: Builder,
     :class:`~repro.runtime.fingerprint.Fingerprinter`.
     """
     stats = _run_serial(
-        lambda counters: _explore_core(
+        lambda: _explore_core(
             build, check, crash_plan_factory=crash_plan_factory,
-            max_steps=max_steps, max_runs=max_runs, counters=counters,
-            deadline=deadline, state_cache=state_cache,
-            fingerprinter=fingerprinter),
+            max_steps=max_steps, max_runs=max_runs, deadline=deadline,
+            state_cache=state_cache, fingerprinter=fingerprinter),
         metrics)
     if stats.violation is not None:
         raise_violation(stats, build, check, crash_plan_factory, max_steps,

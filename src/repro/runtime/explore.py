@@ -25,7 +25,7 @@ prefixes -- this is bounded model checking, and the bound is reported).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Generator, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -142,6 +142,16 @@ class ExplorationStats:
     finishes, so the merged statistics stay deterministic); the entry
     points then raise it through
     :func:`repro.runtime.dpor.raise_violation`.
+
+    ``sleep_checks`` / ``sleep_hits`` count candidate inspections at
+    expanded DPOR states and those a sleep set suppressed;
+    ``peak_frontier`` is the open-prefix watermark (the naive walk's
+    unvisited prefixes, the sharded engine's expansion queue).
+    ``cache_hits`` / ``cache_skipped_runs`` count the state cache's
+    folded subtrees and the runs they stood for.  The cache is per
+    shard, so these two depend on the shard topology and are left out
+    of equality -- exactly the fields whose metrics keys
+    :data:`repro.analysis.metrics.TIMING_KEYS` strips.
     """
 
     complete_runs: int = 0
@@ -149,6 +159,11 @@ class ExplorationStats:
     max_depth_seen: int = 0
     pruned_runs: int = 0
     violation: Optional[ShardViolation] = None
+    sleep_checks: int = 0
+    sleep_hits: int = 0
+    peak_frontier: int = 0
+    cache_hits: int = field(default=0, compare=False)
+    cache_skipped_runs: int = field(default=0, compare=False)
 
     @property
     def total_runs(self) -> int:
@@ -157,12 +172,12 @@ class ExplorationStats:
     def merge(self, other: "ExplorationStats") -> "ExplorationStats":
         """Deterministically combine the statistics of two shards.
 
-        Run counts add, the depth watermark takes the max, and when both
-        sides carry a violation the one whose shard prefix sorts first
-        (lexicographic ``order_key``) wins -- so folding any number of
-        shard results in *any* order yields the same merged outcome as
-        exploring the shards serially in prefix order.  Neither operand
-        is mutated.
+        Counts add, the depth and frontier watermarks take the max, and
+        when both sides carry a violation the one whose shard prefix
+        sorts first (lexicographic ``order_key``) wins -- so folding any
+        number of shard results in *any* order yields the same merged
+        outcome as exploring the shards serially in prefix order.
+        Neither operand is mutated.
         """
         if self.violation is None:
             violation = other.violation
@@ -177,6 +192,12 @@ class ExplorationStats:
             max_depth_seen=max(self.max_depth_seen, other.max_depth_seen),
             pruned_runs=self.pruned_runs + other.pruned_runs,
             violation=violation,
+            sleep_checks=self.sleep_checks + other.sleep_checks,
+            sleep_hits=self.sleep_hits + other.sleep_hits,
+            peak_frontier=max(self.peak_frontier, other.peak_frontier),
+            cache_hits=self.cache_hits + other.cache_hits,
+            cache_skipped_runs=(self.cache_skipped_runs
+                                + other.cache_skipped_runs),
         )
 
     def deterministic_view(self) -> Tuple[bool, Optional["ShardViolation"]]:
@@ -223,7 +244,6 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
                    max_steps: int,
                    max_runs: int,
                    root: Sequence[int] = (),
-                   counters: Optional[Dict[str, Any]] = None,
                    deadline: Optional[float] = None
                    ) -> ExplorationStats:
     """Naive DFS, lowest pid first, over all schedules extending ``root``.
@@ -238,13 +258,9 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
 
     The first check failure is recorded as ``stats.violation`` and the
     walk stops there; the caller raises it, or the coordinator merges
-    shard outcomes deterministically first.  ``counters`` is an
-    optional plain-dict metrics channel (see
-    :mod:`repro.analysis.metrics`); the naive walk reports
-    only its open-node watermark (``peak_frontier``: prefixes pushed but
-    not yet visited), and never touches ``ExplorationStats`` --
-    exploration statistics stay bit-for-bit identical whether or not
-    metrics are collected.
+    shard outcomes deterministically first.  Besides run counts the
+    walk records only its open-node watermark (``stats.peak_frontier``:
+    prefixes pushed but not yet visited); it inspects no sleep sets.
     """
     from .dpor import _Footprints, _System
 
@@ -259,9 +275,8 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
     unvisited = 1  # the root itself
     synced = True
     while unvisited:
-        if counters is not None and unvisited > counters.get(
-                "peak_frontier", 0):
-            counters["peak_frontier"] = unvisited
+        if unvisited > stats.peak_frontier:
+            stats.peak_frontier = unvisited
         if stats.total_runs >= max_runs:
             # Inclusive budget: a prefix is still unvisited, so at least
             # one more run would be needed to finish the exploration.
@@ -300,24 +315,21 @@ def _explore_naive(build: Callable[[], Tuple[Dict[int, Generator], Any]],
     return stats
 
 
-def _run_serial(engine: Callable[[Optional[Dict[str, Any]]],
-                                 ExplorationStats],
+def _run_serial(engine: Callable[[], ExplorationStats],
                 metrics: Optional[Any]) -> ExplorationStats:
-    """Run a serial engine, ``engine(counters)``, settling ``metrics``.
+    """Run a serial engine, ``engine()``, settling ``metrics``.
 
-    A serial run is one shard.  Its wall clock is the shard phase; it
-    and the counters are recorded even when a budget error propagates.
-    Without ``metrics`` the engine gets no counters.
+    A serial run is one shard.  Its wall clock is the shard phase,
+    recorded even when a budget error propagates (whose partial
+    statistics the caller records from the exception).
     """
     if metrics is None:
-        return engine(None)
-    counters: Dict[str, Any] = {}
+        return engine()
     start = perf_counter()
     try:
-        stats = engine(counters)
+        stats = engine()
     finally:
         metrics.record_phase("shard_execution", perf_counter() - start)
-        metrics.absorb_counters(counters)
     metrics.record_stats(stats)
     return stats
 
@@ -370,9 +382,9 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
 
     ``metrics`` is an optional
     :class:`repro.analysis.metrics.ExplorationMetrics` collector.  It
-    records wall-clock phases and engine counters *beside* the returned
-    ``ExplorationStats``, which stays untouched: collecting metrics
-    never changes what is explored or reported.
+    records wall-clock phases *beside* the returned
+    ``ExplorationStats`` and copies the statistics in: collecting
+    metrics never changes what is explored or reported.
 
     ``timeout`` is a wall-clock budget in seconds.  Both budgets stop
     exploration *cleanly*: the engines raise
@@ -404,9 +416,8 @@ def explore(build: Callable[[], Tuple[Dict[int, Generator], Any]],
                             metrics=metrics, deadline=deadline,
                             state_cache=state_cache)
     stats = _run_serial(
-        lambda counters: _explore_naive(
-            build, check, crash_plan_factory, max_steps, max_runs,
-            counters=counters, deadline=deadline),
+        lambda: _explore_naive(build, check, crash_plan_factory,
+                               max_steps, max_runs, deadline=deadline),
         metrics)
     if stats.violation is not None:
         raise_violation(stats, build, check, crash_plan_factory, max_steps,

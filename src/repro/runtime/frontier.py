@@ -7,7 +7,7 @@ loss included -- can continue instead of restarting: the store is a
 single JSON-lines file holding
 
 * a **header** line fixing the run (config fingerprint, the expansion
-  phase's statistics and counters, the full shard list, and any
+  phase's statistics, the full shard list, and any
   completions folded in by compaction), written atomically *and
   durably* via :func:`repro.analysis.metrics.atomic_write_text`;
 * an append-only **journal** of shard grants and completions, each
@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+from dataclasses import fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .explore import ExplorationStats, ShardViolation
@@ -50,16 +51,17 @@ def _durability():
                                     atomic_write_text, fsync_directory)
     return METRICS_SCHEMA_VERSION, atomic_write_text, fsync_directory
 
-#: Bump on any change to the header/journal line shapes.
-FRONTIER_SCHEMA_VERSION = 1
+#: Bump on any change to the header/journal line shapes.  v2 carries
+#: the sleep-set, frontier and cache counts inside each stats record
+#: (v1 kept them in separate entries); a v1 store is refused at load.
+FRONTIER_SCHEMA_VERSION = 2
 
-#: Fingerprint keys that never change a run's statistics, ignored by
-#: :meth:`FrontierStore.validate` so stores that recorded them still
-#: resume whatever the requesting run's value.  The state cache folds
-#: subtrees without changing a count (the ``cache`` test tier compares
-#: cache-on and cache-off bit-for-bit), just as ``jobs`` -- never
-#: recorded -- changes none.
-RESULT_NEUTRAL_KEYS = frozenset({"state_cache"})
+#: The integer fields of an encoded :class:`ExplorationStats`: every
+#: field but the violation.  A new field changes the store and wire
+#: formats, so it bumps ``FRONTIER_SCHEMA_VERSION`` and
+#: ``wire.WIRE_VERSION``.
+_STATS_COUNTS = tuple(f.name for f in fields(ExplorationStats)
+                      if f.name != "violation")
 
 #: Completions between compactions.  Compaction folds the journal into
 #: a fresh header (atomic rewrite), bounding both file size and resume
@@ -93,44 +95,60 @@ class FrontierMismatch(RuntimeError):
 
 def stats_to_dict(stats: ExplorationStats) -> Dict[str, Any]:
     """JSON-encode an :class:`ExplorationStats` (violation included)."""
-    violation = None
-    if stats.violation is not None:
-        violation = {
-            "order_key": list(stats.violation.order_key),
-            "schedule": list(stats.violation.schedule),
-            "message": stats.violation.message,
-            "error_type": stats.violation.error_type,
-        }
-    return {
-        "complete_runs": stats.complete_runs,
-        "truncated_runs": stats.truncated_runs,
-        "max_depth_seen": stats.max_depth_seen,
-        "pruned_runs": stats.pruned_runs,
-        "violation": violation,
+    data: Dict[str, Any] = {key: getattr(stats, key)
+                            for key in _STATS_COUNTS}
+    violation = stats.violation
+    data["violation"] = None if violation is None else {
+        "order_key": list(violation.order_key),
+        "schedule": list(violation.schedule),
+        "message": violation.message,
+        "error_type": violation.error_type,
     }
+    return data
 
 
-def stats_from_dict(data: Dict[str, Any]) -> ExplorationStats:
+def _count(value: Any, what: str) -> int:
+    # ``bool`` is an ``int`` subclass; a count is never a truth value.
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative int, "
+                         f"got {value!r}")
+    return value
+
+
+def _pids(value: Any, what: str) -> Tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(_count(pid, what) for pid in value)
+
+
+def stats_from_dict(data: Any) -> ExplorationStats:
     """Inverse of :func:`stats_to_dict`; round-trips to equal stats.
 
-    Sequence fields come back as tuples so a decoded
-    :class:`ShardViolation` compares equal to the original dataclass
-    (lists would break the bit-for-bit resume differential).
+    The decoder of every stats record that crosses a trust boundary (a
+    frontier store line, a socket completion frame), so it checks as
+    well as converts: a missing field, a count that is not a
+    non-negative ``int`` (``bool`` included) or a mistyped violation
+    raises :class:`ValueError`.  Sequence fields come back as tuples so
+    a decoded :class:`ShardViolation` compares equal to the original
+    dataclass (lists would break the bit-for-bit resume differential).
     """
+    if not isinstance(data, dict) or "violation" not in data:
+        raise ValueError(f"not a stats record: {data!r}")
+    counts = {key: _count(data.get(key), key) for key in _STATS_COUNTS}
+    raw = data["violation"]
     violation = None
-    raw = data.get("violation")
     if raw is not None:
+        if not isinstance(raw, dict):
+            raise ValueError(f"violation must be an object, got {raw!r}")
+        message, error_type = raw.get("message"), raw.get("error_type")
+        if not isinstance(message, str) or not isinstance(error_type, str):
+            raise ValueError(f"violation message and error_type must be "
+                             f"strings, got {message!r}, {error_type!r}")
         violation = ShardViolation(
-            order_key=tuple(raw["order_key"]),
-            schedule=tuple(raw["schedule"]),
-            message=raw["message"],
-            error_type=raw.get("error_type", "AssertionError"))
-    return ExplorationStats(
-        complete_runs=data["complete_runs"],
-        truncated_runs=data["truncated_runs"],
-        max_depth_seen=data["max_depth_seen"],
-        pruned_runs=data["pruned_runs"],
-        violation=violation)
+            order_key=_pids(raw.get("order_key"), "violation order_key"),
+            schedule=_pids(raw.get("schedule"), "violation schedule"),
+            message=message, error_type=error_type)
+    return ExplorationStats(violation=violation, **counts)
 
 
 def _encode_shards(shards: Sequence[Tuple[Sequence[int], Sequence[int]]]
@@ -153,10 +171,10 @@ class FrontierStore:
             store.load()                      # replay header + journal
             store.validate(fingerprint)       # same run?
         else:
-            store.begin(fingerprint, stats, counters, shards)
+            store.begin(fingerprint, stats, shards)
         for idx in store.pending_indices(len(store.shards)):
             ...                               # execute shard idx
-            store.record_completion(idx, shard_stats, shard_counters)
+            store.record_completion(idx, shard_stats)
         store.close()
 
     Every completion append is fsynced before :meth:`record_completion`
@@ -171,13 +189,11 @@ class FrontierStore:
         self.path = path
         self.fingerprint: Optional[Dict[str, Any]] = None
         self.expansion_stats: Optional[ExplorationStats] = None
-        self.expansion_counters: Dict[str, Any] = {}
         self.shards: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        #: shard index -> (stats, counters) for every journaled
-        #: completion, deduplicated (first completion wins, as in the
-        #: pool's ``settle``; duplicates are byte-identical anyway).
-        self.completed: Dict[int, Tuple[ExplorationStats,
-                                        Dict[str, Any]]] = {}
+        #: shard index -> stats for every journaled completion,
+        #: deduplicated (first completion wins, as in the pool's
+        #: ``settle``; duplicates are byte-identical anyway).
+        self.completed: Dict[int, ExplorationStats] = {}
         self._append_handle = None
         self._since_compaction = 0
         raw_kill = os.environ.get(KILL_AFTER_ENV)
@@ -192,12 +208,10 @@ class FrontierStore:
 
     def begin(self, fingerprint: Dict[str, Any],
               expansion_stats: ExplorationStats,
-              expansion_counters: Dict[str, Any],
               shards: Sequence[Tuple[Sequence[int], Sequence[int]]]) -> None:
         """Start a fresh store: durable header, empty journal."""
         self.fingerprint = dict(fingerprint)
         self.expansion_stats = expansion_stats
-        self.expansion_counters = dict(expansion_counters)
         self.shards = _decode_shards(_encode_shards(shards))
         self.completed = {}
         self._write_header()
@@ -211,7 +225,10 @@ class FrontierStore:
         completion means the shard is pending again); only ``complete``
         lines change what resume re-executes.  Parsing stops at the
         first torn line -- everything after a mid-append crash point is
-        unreadable by construction (appends are sequential).
+        unreadable by construction (appends are sequential).  A line
+        that parses but names no shard or holds malformed statistics is
+        no torn tail: it raises ``ValueError`` (the store is
+        unreadable).
         """
         with open(self.path, "r") as handle:
             lines = handle.read().splitlines()
@@ -229,11 +246,9 @@ class FrontierStore:
                 f"{FRONTIER_SCHEMA_VERSION}")
         self.fingerprint = header["fingerprint"]
         self.expansion_stats = stats_from_dict(header["expansion"])
-        self.expansion_counters = dict(header["expansion_counters"])
         self.shards = _decode_shards(header["shards"])
         self.completed = {
-            int(idx): (stats_from_dict(entry["stats"]),
-                       dict(entry["counters"]))
+            int(idx): stats_from_dict(entry["stats"])
             for idx, entry in header.get("completed", {}).items()}
         for line in lines[1:]:
             try:
@@ -242,10 +257,12 @@ class FrontierStore:
                 break  # torn tail: crash mid-append, discard the rest
             if record.get("kind") != "complete":
                 continue
-            idx = record["shard"]
-            if idx not in self.completed:
-                self.completed[idx] = (stats_from_dict(record["stats"]),
-                                       dict(record["counters"]))
+            shard = record.get("shard")
+            if type(shard) is not int or not 0 <= shard < len(self.shards):
+                raise ValueError(f"frontier store {self.path} journals a "
+                                 f"completion of no shard: {line}")
+            stats = stats_from_dict(record.get("stats"))
+            self.completed.setdefault(shard, stats)
         self._since_compaction = sum(
             1 for line in lines[1:] if line.strip())
 
@@ -253,13 +270,12 @@ class FrontierStore:
         """Reject a resume whose configuration differs from the header.
 
         Compares key-by-key (both directions) so the error names every
-        differing parameter, not just the first; keys in
-        :data:`RESULT_NEUTRAL_KEYS` are not compared.
+        differing parameter, not just the first.
         """
         stored = self.fingerprint or {}
         mismatched = {
             key: (stored.get(key), fingerprint.get(key))
-            for key in (set(stored) | set(fingerprint)) - RESULT_NEUTRAL_KEYS
+            for key in set(stored) | set(fingerprint)
             if stored.get(key) != fingerprint.get(key)}
         if mismatched:
             raise FrontierMismatch(mismatched)
@@ -285,15 +301,14 @@ class FrontierStore:
         """Journal a lease grant (observability; not replayed on load)."""
         self._append({"kind": "grant", "shard": shard, "worker": worker})
 
-    def record_completion(self, shard: int, stats: ExplorationStats,
-                          counters: Dict[str, Any]) -> None:
+    def record_completion(self, shard: int,
+                          stats: ExplorationStats) -> None:
         """Durably journal one shard's result; idempotent per shard."""
         if shard in self.completed:
             return  # late duplicate from a re-granted lease
-        self.completed[shard] = (stats, dict(counters))
+        self.completed[shard] = stats
         self._append({"kind": "complete", "shard": shard,
-                      "stats": stats_to_dict(stats),
-                      "counters": dict(counters)})
+                      "stats": stats_to_dict(stats)})
         self._completions_journaled += 1
         self._maybe_kill(after_header=False)
         if self._since_compaction >= COMPACT_INTERVAL:
@@ -303,7 +318,7 @@ class FrontierStore:
         """Fold all journaled completions, in shard order."""
         merged = ExplorationStats()
         for idx in sorted(self.completed):
-            merged = merged.merge(self.completed[idx][0])
+            merged = merged.merge(self.completed[idx])
         return merged
 
     def compact(self) -> None:
@@ -328,12 +343,10 @@ class FrontierStore:
             "frontier_schema": FRONTIER_SCHEMA_VERSION,
             "fingerprint": self.fingerprint,
             "expansion": stats_to_dict(self.expansion_stats),
-            "expansion_counters": self.expansion_counters,
             "shards": _encode_shards(self.shards),
             "completed": {
-                str(idx): {"stats": stats_to_dict(stats),
-                           "counters": counters}
-                for idx, (stats, counters) in sorted(self.completed.items())},
+                str(idx): {"stats": stats_to_dict(stats)}
+                for idx, stats in sorted(self.completed.items())},
         }
         atomic_write_text(self.path, json.dumps(header) + "\n", durable=True)
         self._since_compaction = 0

@@ -288,13 +288,16 @@ class ShardServer(LeasePool):
             self.complete(session.worker_id, shard, (None, body["error"]))
             return {"type": "ok", "accepted": False}
         try:
-            stats = stats_from_dict(body["stats"])
-            counters = dict(body.get("counters") or {})
-        except (KeyError, TypeError, ValueError) as exc:
+            stats = stats_from_dict(body.get("stats"))
+        except ValueError as exc:
             return {"type": "error",
                     "reason": f"undecodable completion stats: {exc}"}
+        reason = body.get("interrupted")
+        if reason not in (None, "max_runs", "timeout"):
+            return {"type": "error",
+                    "reason": f"bad interrupt reason {reason!r}"}
         accepted = self.complete(session.worker_id, shard,
-                                 ((stats, counters), None))
+                                 ((stats, reason), None))
         if accepted:
             session.shards += 1
         return {"type": "ok", "accepted": accepted}
@@ -756,10 +759,10 @@ class ShardWorker:
             self._rpc({"type": "complete", "shard": shard,
                        "error": error})
             return
-        stats, counters = value[0], value[1]
+        stats, reason = value
         reply = self._rpc({"type": "complete", "shard": shard,
                            "stats": stats_to_dict(stats),
-                           "counters": dict(counters)})
+                           "interrupted": reason})
         if reply.get("accepted"):
             self.shards_completed += 1
 

@@ -646,7 +646,6 @@ def _expand_frontier(build: Builder,
                      max_runs: int,
                      target: int,
                      use_sleep: bool,
-                     counters: Optional[Dict[str, Any]] = None,
                      deadline: Optional[float] = None):
     """Serial BFS until at least ``target`` open prefixes exist.
 
@@ -660,17 +659,15 @@ def _expand_frontier(build: Builder,
     every candidate is scheduled, with an empty sleep set.  With it
     (DPOR mode) every non-sleeping candidate is scheduled at each
     expanded state -- a trivially persistent set -- and children
-    inherit sleep sets by the serial engine's exact rule.
-    ``counters`` is the optional plain-dict metrics channel (frontier
-    watermark and sleep-set accounting; never exploration statistics).
+    inherit sleep sets by the serial engine's exact rule.  The open
+    queue's watermark is ``stats.peak_frontier``.
     """
     stats = ExplorationStats()
     footprints = _Footprints()
     open_nodes: deque = deque([((), frozenset())])
     while open_nodes and len(open_nodes) < target:
-        if counters is not None and len(open_nodes) > counters.get(
-                "peak_frontier", 0):
-            counters["peak_frontier"] = len(open_nodes)
+        if len(open_nodes) > stats.peak_frontier:
+            stats.peak_frontier = len(open_nodes)
         prefix, sleep = open_nodes.popleft()
         if stats.total_runs >= max_runs:
             raise _max_runs_interrupt(max_runs, stats)
@@ -696,11 +693,8 @@ def _expand_frontier(build: Builder,
                 open_nodes.append((prefix + (pick,), frozenset()))
             continue
         explorable = [p for p in cands if p not in sleep]
-        if counters is not None:
-            counters["sleep_checks"] = (counters.get("sleep_checks", 0)
-                                        + len(cands))
-            counters["sleep_hits"] = (counters.get("sleep_hits", 0)
-                                      + len(cands) - len(explorable))
+        stats.sleep_checks += len(cands)
+        stats.sleep_hits += len(cands) - len(explorable)
         if not explorable:
             stats.pruned_runs += 1
             continue
@@ -719,9 +713,8 @@ def _expand_frontier(build: Builder,
                 and not footprints.conflicts(pending_fps[q], fp))
             open_nodes.append((prefix + (pick,), child_sleep))
             done.add(pick)
-    if counters is not None and len(open_nodes) > counters.get(
-            "peak_frontier", 0):
-        counters["peak_frontier"] = len(open_nodes)
+    if len(open_nodes) > stats.peak_frontier:
+        stats.peak_frontier = len(open_nodes)
     return stats, sorted(open_nodes, key=lambda shard: shard[0])
 
 
@@ -746,29 +739,23 @@ def execute_shard(build: Builder,
     fallback, and a remote :class:`repro.runtime.netshard.ShardWorker`
     perform for a ``(prefix, sleep_set)`` shard -- one function, so
     "where a shard ran" can never change what it computed.  Returns
-    ``(stats, counters)`` for a completed shard, or ``(partial_stats,
-    counters, reason)`` when the budget interrupted it (the partial
-    coverage rides back instead of being lost).  Violations are
-    *collected* into the statistics, never raised.
+    ``(stats, None)`` for a completed shard, or ``(partial_stats,
+    reason)`` when the budget interrupted it (the partial coverage
+    rides back instead of being lost).  Violations are *collected* into
+    the statistics, never raised.
     """
-    shard_counters: Dict[str, Any] = {}
     try:
         if reduction == "dpor":
-            shard_stats = _explore_core(
+            return _explore_core(
                 build, check, crash_plan_factory=crash_plan_factory,
                 max_steps=max_steps, max_runs=max_runs, prefix=prefix,
-                root_sleep=sleep, counters=shard_counters,
-                deadline=deadline, state_cache=state_cache)
-        else:
-            shard_stats = _explore_naive(build, check,
-                                         crash_plan_factory, max_steps,
-                                         max_runs, root=prefix,
-                                         counters=shard_counters,
-                                         deadline=deadline)
+                root_sleep=sleep, deadline=deadline,
+                state_cache=state_cache), None
+        return _explore_naive(build, check, crash_plan_factory,
+                              max_steps, max_runs, root=prefix,
+                              deadline=deadline), None
     except ExplorationInterrupted as exc:
-        return (exc.stats or ExplorationStats(), shard_counters,
-                exc.reason)
-    return shard_stats, shard_counters
+        return exc.stats or ExplorationStats(), exc.reason
 
 
 # ---------------------------------------------------------------------------
@@ -819,9 +806,9 @@ def explore_parallel(build: Optional[Builder] = None,
     :class:`repro.analysis.metrics.ExplorationMetrics` collector: the
     coordinator records per-phase wall-clock (frontier expansion, shard
     execution, merge, shrink), per-worker shard counts and busy time,
-    and the engines' sleep-set/frontier counters.  All of it lives
-    outside ``ExplorationStats``, whose jobs-independent bit-for-bit
-    contract is unaffected by metrics collection.
+    and a copy of the merged statistics.  Timing lives outside
+    ``ExplorationStats``, whose jobs-independent bit-for-bit contract
+    is unaffected by metrics collection.
 
     ``deadline`` (absolute ``time.monotonic()`` instant; valid across
     ``fork`` on Linux since CLOCK_MONOTONIC is system-wide) bounds the
@@ -878,11 +865,6 @@ def explore_parallel(build: Optional[Builder] = None,
     use_sleep = reduction == "dpor"
     target = DEFAULT_PREFIX_FACTOR * max(_FRONTIER_BASE,
                                          os.cpu_count() or 1, jobs)
-    # The frontier store needs the expansion counters even when no
-    # metrics collector is attached at checkpoint time -- a later
-    # resume may attach one.
-    counters: Optional[Dict[str, Any]] = (
-        {} if (metrics is not None or frontier is not None) else None)
     # Everything that fixes which state space is explored and how it is
     # sharded; a resume under any other value would merge statistics
     # from a different exploration (jobs and state_cache are
@@ -897,35 +879,29 @@ def explore_parallel(build: Optional[Builder] = None,
         "prefix_factor": DEFAULT_PREFIX_FACTOR,
     }
     phase_start = perf_counter()
-    prior_completed: Dict[int, Tuple[ExplorationStats, Dict[str, Any]]] = {}
+    prior_completed: Dict[int, ExplorationStats] = {}
     if frontier is not None and frontier.exists():
         frontier.load()
         frontier.validate(fingerprint)
         stats = frontier.expansion_stats
         shards = frontier.shards
-        if counters is not None:
-            counters.update(frontier.expansion_counters)
         prior_completed = dict(frontier.completed)
     else:
         stats, shards = _expand_frontier(build, check, crash_plan_factory,
                                          max_steps, max_runs, target,
-                                         use_sleep, counters=counters,
-                                         deadline=deadline)
+                                         use_sleep, deadline=deadline)
         if frontier is not None:
-            frontier.begin(fingerprint, stats, counters or {}, shards)
+            frontier.begin(fingerprint, stats, shards)
     if metrics is not None:
         metrics.record_phase("frontier_expansion",
                              perf_counter() - phase_start)
         metrics.shard_count = len(shards)
 
     def run_shard(payload):
-        # Shards always report their counters -- a plain picklable dict
-        # riding back beside the statistics -- because the worker cannot
-        # know whether the coordinator is collecting metrics.  A budget
-        # interruption inside the shard is marshalled as a third tuple
-        # element (reason) rather than an error string, so the partial
-        # statistics survive the worker pipe and the coordinator can
-        # merge them before re-raising.
+        # A budget interruption inside the shard comes back as the
+        # reason beside the partial statistics rather than as an error
+        # string, so the coverage survives the worker pipe and the
+        # coordinator can merge it before re-raising.
         prefix, sleep = payload
         return execute_shard(build, check, crash_plan_factory,
                              prefix=prefix, sleep=sleep,
@@ -933,23 +909,12 @@ def explore_parallel(build: Optional[Builder] = None,
                              reduction=reduction,
                              state_cache=state_cache, deadline=deadline)
 
-    def fold_counters(shard_counters: Dict[str, Any]) -> None:
-        if counters is None:
-            return
-        for key, delta in shard_counters.items():
-            if key == "peak_frontier":
-                counters[key] = max(counters.get(key, 0), delta)
-            else:
-                counters[key] = counters.get(key, 0) + delta
-
     # Journaled completions from the store's previous life merge first
     # (shard order); merge() is commutative, so the order relative to
     # this run's fresh outcomes cannot matter -- but merging them *now*
     # means an interrupt below still reports their coverage.
     for shard_idx in sorted(prior_completed):
-        prior_stats, prior_counters = prior_completed[shard_idx]
-        stats = stats.merge(prior_stats)
-        fold_counters(prior_counters)
+        stats = stats.merge(prior_completed[shard_idx])
     pending = (frontier.pending_indices(len(shards))
                if frontier is not None else list(range(len(shards))))
     pool_payloads = [shards[i] for i in pending]
@@ -963,9 +928,8 @@ def explore_parallel(build: Optional[Builder] = None,
             value, error = outcome
             # Only fully-explored shards are durable facts; errored or
             # budget-interrupted shards stay pending for the next life.
-            if error is None and value is not None and len(value) == 2:
-                frontier.record_completion(pending[pool_idx],
-                                           value[0], value[1])
+            if error is None and value is not None and value[1] is None:
+                frontier.record_completion(pending[pool_idx], value[0])
 
     task_log: Optional[List[Dict[str, Any]]] = \
         [] if metrics is not None else None
@@ -997,20 +961,15 @@ def explore_parallel(build: Optional[Builder] = None,
             raise ShardFailed(
                 f"parallel exploration failed on shard {shard_idx} "
                 f"(prefix {list(shards[shard_idx][0])}): {error}")
-        if len(value) == 3:
-            # An interrupted shard: merge its partial statistics, then
-            # surface the first (by shard order) interruption reason.
-            shard_stats, shard_counters, reason = value
-            if interrupt_reason is None:
-                interrupt_reason = reason
-        else:
-            shard_stats, shard_counters = value
+        # An interrupted shard's partial statistics merge too; the
+        # first (by shard order) interruption reason surfaces below.
+        shard_stats, reason = value
+        if interrupt_reason is None:
+            interrupt_reason = reason
         stats = stats.merge(shard_stats)
-        fold_counters(shard_counters)
     if metrics is not None:
         metrics.record_phase("merge", perf_counter() - phase_start)
         metrics.record_stats(stats)
-        metrics.absorb_counters(counters)
 
     if stats.violation is not None:
         # The winning (first-by-prefix-order) violation, raised in the

@@ -41,16 +41,17 @@ from typing import Any, Dict, List, Optional, Tuple
 #: Protocol version carried in every frame header.  Bump on any change
 #: to the header layout or the message vocabulary; a peer speaking a
 #: different version is rejected with :class:`VersionMismatch` instead
-#: of being misparsed.
-WIRE_VERSION = 1
+#: of being misparsed.  v2: a ``complete`` frame carries every count
+#: inside ``stats`` and names a budget stop in ``interrupted``.
+WIRE_VERSION = 2
 
 #: Frame tag: four bytes identifying a repro-shard frame.  Anything
 #: else at a frame boundary (an HTTP probe, a desynchronized stream)
 #: raises :class:`BadMagic` immediately.
 MAGIC = b"RSRD"
 
-#: Hard cap on a single frame's payload.  Shard prefixes, stats and
-#: counters are all tiny; a length field beyond this is corruption or
+#: Hard cap on a single frame's payload.  Shard prefixes and stats
+#: are all tiny; a length field beyond this is corruption or
 #: abuse, and rejecting it *before* reading the payload keeps a hostile
 #: length from making the reader allocate or wait for gigabytes.
 #: Module-level so tests can shrink it.

@@ -107,12 +107,15 @@ class TestGoldenSchema:
 class TestStatisticsIsolation:
     """Metrics collection must not perturb exploration statistics."""
 
-    def test_exploration_stats_gained_no_fields(self):
-        # The timing/observability fields live in ExplorationMetrics,
-        # never here: this is the jobs=1 == jobs=N bit-for-bit contract.
+    def test_exploration_stats_fields_are_pinned(self):
+        # The timing/worker fields live in ExplorationMetrics, never
+        # here: this is the jobs=1 == jobs=N bit-for-bit contract.  The
+        # counts are the exploration's own (the cache's two are left out
+        # of equality, see tests/runtime/test_explore_stats.py).
         assert {f.name for f in dataclasses.fields(ExplorationStats)} \
             == {"complete_runs", "truncated_runs", "max_depth_seen",
-                "pruned_runs", "violation"}
+                "pruned_runs", "violation", "sleep_checks", "sleep_hits",
+                "peak_frontier", "cache_hits", "cache_skipped_runs"}
 
     @pytest.mark.parametrize("reduction", ["naive", "dpor"])
     @pytest.mark.parametrize("jobs", [None, 1, 2])

@@ -30,8 +30,9 @@ import repro
 from repro.__main__ import main
 from repro.analysis.metrics import ExplorationMetrics, deterministic_view
 from repro.runtime import CounterexampleFound, explore, wire
-from repro.runtime.explore import ExplorationStats
-from repro.runtime.frontier import KILL_AFTER_ENV, stats_to_dict
+from repro.runtime.explore import ExplorationInterrupted, ExplorationStats
+from repro.runtime.frontier import (KILL_AFTER_ENV, FrontierStore,
+                                    stats_to_dict)
 from repro.runtime.netshard import (_LINGER, ChaosProxy, ShardServer,
                                     ShardWorker)
 from repro.runtime.parallel import explore_parallel
@@ -63,11 +64,13 @@ class _SocketRun:
     """
 
     def __init__(self, name, sc, n=3, lease_timeout=5.0,
-                 metrics=None, **server_kwargs):
+                 metrics=None, max_runs=None, state_cache=True,
+                 frontier=None, **server_kwargs):
         self.sc = sc
+        max_runs = max_runs or sc.max_runs
         config = {"scenario": name, "n": n, "x": 2,
-                  "max_steps": sc.max_steps, "max_runs": sc.max_runs,
-                  "reduction": "dpor", "state_cache": True}
+                  "max_steps": sc.max_steps, "max_runs": max_runs,
+                  "reduction": "dpor", "state_cache": state_cache}
         self._ready = threading.Event()
         self._addr = {}
 
@@ -87,10 +90,10 @@ class _SocketRun:
                 self._box["stats"] = explore_parallel(
                     sc.build, sc.check,
                     crash_plan_factory=sc.crash_plan_factory,
-                    max_steps=sc.max_steps, max_runs=sc.max_runs,
+                    max_steps=sc.max_steps, max_runs=max_runs,
                     jobs=1, reduction="dpor",
                     scenario=ScenarioRef(name, n=n), metrics=metrics,
-                    pool=self.server)
+                    frontier=frontier, pool=self.server)
             except BaseException as exc:  # noqa: BLE001 - re-raised
                 self._box["error"] = exc
 
@@ -186,6 +189,46 @@ class TestSocketDifferential:
         assert socket_exc.value.counterexample.schedule == \
             serial_exc.value.counterexample.schedule
         assert socket_exc.value.stats == serial_exc.value.stats
+
+
+class TestBudgetStops:
+    def test_fork_and_socket_stores_journal_the_same_shards(self,
+                                                             tmp_path):
+        """A shard that stopped at its ``max_runs`` budget is partial
+        coverage, not a completion, whichever venue ran it: a socket
+        worker reports the stop, and the socket-served store journals
+        exactly the shards the fork pool's store does."""
+        name = "safe-agreement"
+        sc = _scenario(name)
+        budget = 40
+        fork_store = FrontierStore(str(tmp_path / "fork.jsonl"))
+        with pytest.raises(ExplorationInterrupted) as fork_exc:
+            explore_parallel(sc.build, sc.check,
+                             crash_plan_factory=sc.crash_plan_factory,
+                             max_steps=sc.max_steps, max_runs=budget,
+                             jobs=2, reduction="dpor",
+                             scenario=ScenarioRef(name),
+                             frontier=fork_store)
+        socket_store = FrontierStore(str(tmp_path / "socket.jsonl"))
+        run = _SocketRun(name, sc, max_runs=budget, state_cache=False,
+                         frontier=socket_store)
+        assert run.wait_bound()
+        run.attach_worker("budget-w0")
+        with pytest.raises(ExplorationInterrupted) as socket_exc:
+            run.finish()
+        assert fork_exc.value.reason == socket_exc.value.reason \
+            == "max_runs"
+        assert socket_exc.value.stats == fork_exc.value.stats
+        journals = []
+        for store in (fork_store, socket_store):
+            reloaded = FrontierStore(store.path)
+            reloaded.load()
+            journals.append(reloaded.completed)
+        assert journals[0] == journals[1]
+        # Not vacuous: some shards finished, others hit the budget, and
+        # the worker really served shards over the socket.
+        assert 0 < len(journals[0]) < len(reloaded.shards)
+        assert run.server.tallies["remote_shards"] > 0
 
 
 class TestChaos:
@@ -409,7 +452,8 @@ def _serve_synthetic(server):
 
     def coordinate():
         box["outcomes"] = server(
-            [((0,), frozenset())], lambda payload: (ExplorationStats(), {}))
+            [((0,), frozenset())],
+            lambda payload: (ExplorationStats(), None))
 
     thread = threading.Thread(target=coordinate, daemon=True)
     thread.start()
@@ -419,8 +463,7 @@ def _serve_synthetic(server):
 
 def _completion(shard, runs):
     return {"type": "complete", "shard": shard,
-            "stats": stats_to_dict(ExplorationStats(complete_runs=runs)),
-            "counters": {}}
+            "stats": stats_to_dict(ExplorationStats(complete_runs=runs))}
 
 
 class TestCleanShutdown:

@@ -1,8 +1,17 @@
-"""``ExplorationStats.merge``: the deterministic shard-combining rule."""
+"""``ExplorationStats``: the deterministic shard-combining rule, and
+which fields equality compares."""
 
+import dataclasses
 import itertools
 
+import pytest
+
+from repro.analysis.metrics import TIMING_KEYS, ExplorationMetrics
 from repro.runtime import ExplorationStats, ShardViolation
+
+#: Every count of the record (all fields but ``violation``).
+COUNTS = [f.name for f in dataclasses.fields(ExplorationStats)
+          if f.name != "violation"]
 
 
 def _viol(order_key, schedule=None, message="AssertionError: boom"):
@@ -34,6 +43,20 @@ class TestMergeCounts:
         assert merged.pruned_runs == 3
         assert merged.total_runs == 14
         assert merged.violation is None
+
+    def test_sleep_set_and_cache_counts_add_frontier_takes_max(self):
+        a = ExplorationStats(sleep_checks=10, sleep_hits=3,
+                             peak_frontier=64, cache_hits=2,
+                             cache_skipped_runs=9)
+        b = ExplorationStats(sleep_checks=5, sleep_hits=1,
+                             peak_frontier=7, cache_hits=1,
+                             cache_skipped_runs=4)
+        for merged in (a.merge(b), b.merge(a)):
+            assert merged.sleep_checks == 15
+            assert merged.sleep_hits == 4
+            assert merged.peak_frontier == 64  # watermark, not a sum
+            assert merged.cache_hits == 3
+            assert merged.cache_skipped_runs == 13
 
     def test_operands_not_mutated(self):
         a = ExplorationStats(complete_runs=1)
@@ -88,3 +111,41 @@ class TestMergeViolations:
                 merged = merged.merge(shard)
             results.add((merged.total_runs, merged.violation.order_key))
         assert results == {(8, (1, 1))}
+
+
+def _moved_metrics_keys(field):
+    """The metrics-record keys that raising ``field`` alone moves."""
+    def record(stats):
+        metrics = ExplorationMetrics(scenario="s")
+        metrics.record_stats(stats)
+        return metrics.finalize(wall_seconds=1.0).to_dict()
+
+    # Nonzero runs and checks, so the derived ratios are defined.
+    base = ExplorationStats(complete_runs=5, sleep_checks=5)
+    moved = dataclasses.replace(base, **{field: getattr(base, field) + 2})
+    before, after = record(base), record(moved)
+    return {key for key in before if before[key] != after[key]}
+
+
+class TestEquality:
+    @pytest.mark.parametrize("field", COUNTS)
+    def test_ignores_exactly_what_the_metrics_view_strips(self, field):
+        # A count is compared unless every metrics key it feeds is in
+        # TIMING_KEYS, i.e. stripped by deterministic_view: stats
+        # equality and the deterministic metrics view agree on what
+        # counts as the exploration's content.
+        moved = _moved_metrics_keys(field)
+        assert moved, f"record_stats does not copy {field}"
+        compared = {f.name: f.compare for f in
+                    dataclasses.fields(ExplorationStats)}[field]
+        assert compared == (not moved <= TIMING_KEYS), (field, moved)
+        differs = ExplorationStats(**{field: 1}) != ExplorationStats()
+        assert differs == compared
+
+    def test_cache_counts_are_the_uncompared_ones(self):
+        assert [f.name for f in dataclasses.fields(ExplorationStats)
+                if not f.compare] == ["cache_hits", "cache_skipped_runs"]
+
+    def test_violation_is_compared(self):
+        assert ExplorationStats(violation=_viol((0,))) \
+            != ExplorationStats()

@@ -4,7 +4,8 @@ The resume *differential* (kill -9 mid-run, resume, compare bit-for-bit
 -- ``tests/properties/test_resume_differential.py``) is the end-to-end
 evidence; these tests pin the store's mechanics in isolation: header
 round-trip, journal replay, torn-tail discard, compaction equivalence,
-fingerprint validation, and the lease grant/renew/expire protocol.
+fingerprint validation, the stats decoder's type checks, and the lease
+grant/renew/expire protocol.
 """
 
 import json
@@ -21,7 +22,7 @@ from repro.runtime.lease import Lease, LeaseTable
 
 FINGERPRINT = {"scenario": ["demo", 2, 1], "max_steps": 12,
                "max_runs": 1000, "reduction": "dpor",
-               "prefix_factor": 4, "state_cache": True}
+               "prefix_factor": 4}
 
 SHARDS = [((0,), ()), ((1,), (0,)), ((0, 1), (1,))]
 
@@ -33,20 +34,28 @@ def make_stats(complete=3, violation=False):
                            message="agreement violated",
                            error_type="AssertionError")
     return ExplorationStats(complete_runs=complete, truncated_runs=1,
-                            max_depth_seen=5, pruned_runs=2, violation=v)
+                            max_depth_seen=5, pruned_runs=2, violation=v,
+                            sleep_checks=11, sleep_hits=4, peak_frontier=3,
+                            cache_hits=2, cache_skipped_runs=6)
 
 
 def begin_store(path):
     store = FrontierStore(str(path))
-    store.begin(FINGERPRINT, make_stats(0), {"peak_frontier_size": 3},
-                SHARDS)
+    store.begin(FINGERPRINT, make_stats(0), SHARDS)
     return store
+
+
+def same_record(a, b):
+    """Every field equal, the ones equality ignores included."""
+    return stats_to_dict(a) == stats_to_dict(b)
 
 
 class TestStatsCodec:
     def test_round_trip_without_violation(self):
         stats = make_stats()
-        assert stats_from_dict(stats_to_dict(stats)) == stats
+        decoded = stats_from_dict(stats_to_dict(stats))
+        assert decoded == stats
+        assert same_record(decoded, stats)
 
     def test_round_trip_with_violation_is_bit_for_bit(self):
         # Tuples, not lists: a decoded ShardViolation must compare equal
@@ -55,6 +64,7 @@ class TestStatsCodec:
         decoded = stats_from_dict(json.loads(json.dumps(
             stats_to_dict(stats))))
         assert decoded == stats
+        assert same_record(decoded, stats)
         assert decoded.violation.order_key == (1, 0)
 
     def test_merge_of_decoded_equals_merge_of_live(self):
@@ -63,6 +73,37 @@ class TestStatsCodec:
         decoded = stats_from_dict(stats_to_dict(a)).merge(
             stats_from_dict(stats_to_dict(b)))
         assert decoded == live
+        assert same_record(decoded, live)
+
+    @pytest.mark.parametrize("key", ["complete_runs", "sleep_hits",
+                                     "peak_frontier", "cache_hits"])
+    @pytest.mark.parametrize("value", ["3", True, -1, 1.5, None, [3]])
+    def test_mistyped_count_is_rejected(self, key, value):
+        data = dict(stats_to_dict(make_stats()), **{key: value})
+        with pytest.raises(ValueError, match=key):
+            stats_from_dict(data)
+
+    def test_missing_count_is_rejected(self):
+        data = stats_to_dict(make_stats())
+        del data["sleep_checks"]
+        with pytest.raises(ValueError, match="sleep_checks"):
+            stats_from_dict(data)
+
+    @pytest.mark.parametrize("field,value", [
+        ("order_key", "10"), ("order_key", [1, "0"]),
+        ("schedule", None), ("schedule", [1, False]),
+        ("message", 5), ("error_type", None)])
+    def test_mistyped_violation_is_rejected(self, field, value):
+        data = stats_to_dict(make_stats(violation=True))
+        data["violation"][field] = value
+        with pytest.raises(ValueError):
+            stats_from_dict(data)
+
+    @pytest.mark.parametrize("data", [None, [], "stats",
+                                      {"violation": None}])
+    def test_non_record_is_rejected(self, data):
+        with pytest.raises(ValueError):
+            stats_from_dict(data)
 
 
 class TestStoreLifecycle:
@@ -75,8 +116,7 @@ class TestStoreLifecycle:
         loaded = FrontierStore(str(path))
         loaded.load()
         assert loaded.fingerprint == FINGERPRINT
-        assert loaded.expansion_stats == make_stats(0)
-        assert loaded.expansion_counters == {"peak_frontier_size": 3}
+        assert same_record(loaded.expansion_stats, make_stats(0))
         assert loaded.shards == SHARDS
         assert loaded.completed == {}
         assert loaded.pending_indices(len(SHARDS)) == [0, 1, 2]
@@ -84,22 +124,20 @@ class TestStoreLifecycle:
     def test_journaled_completions_survive_reload(self, tmp_path):
         store = begin_store(tmp_path / "frontier.jsonl")
         store.record_grant(1, worker=0)
-        store.record_completion(1, make_stats(7), {"sleep_set_hits": 4})
+        store.record_completion(1, make_stats(7))
         store.close()
 
         loaded = FrontierStore(store.path)
         loaded.load()
         assert set(loaded.completed) == {1}
-        stats, counters = loaded.completed[1]
-        assert stats == make_stats(7)
-        assert counters == {"sleep_set_hits": 4}
+        assert same_record(loaded.completed[1], make_stats(7))
         assert loaded.pending_indices(len(SHARDS)) == [0, 2]
 
     def test_completion_is_idempotent_per_shard(self, tmp_path):
         store = begin_store(tmp_path / "frontier.jsonl")
-        store.record_completion(0, make_stats(7), {})
+        store.record_completion(0, make_stats(7))
         before = os.path.getsize(store.path)
-        store.record_completion(0, make_stats(7), {})
+        store.record_completion(0, make_stats(7))
         store.close()
         assert os.path.getsize(store.path) == before
 
@@ -116,7 +154,7 @@ class TestStoreLifecycle:
 
     def test_torn_tail_is_discarded(self, tmp_path):
         store = begin_store(tmp_path / "frontier.jsonl")
-        store.record_completion(0, make_stats(7), {})
+        store.record_completion(0, make_stats(7))
         store.close()
         with open(store.path, "a") as handle:
             handle.write('{"kind": "complete", "shard": 2, "sta')
@@ -128,8 +166,8 @@ class TestStoreLifecycle:
 
     def test_compaction_folds_journal_into_header(self, tmp_path):
         store = begin_store(tmp_path / "frontier.jsonl")
-        store.record_completion(0, make_stats(7), {"cache_hits": 1})
-        store.record_completion(2, make_stats(9), {})
+        store.record_completion(0, make_stats(7))
+        store.record_completion(2, make_stats(9))
         store.compact()
         store.close()
 
@@ -140,15 +178,15 @@ class TestStoreLifecycle:
         loaded = FrontierStore(store.path)
         loaded.load()
         assert set(loaded.completed) == {0, 2}
-        assert loaded.completed[0][0] == make_stats(7)
+        assert same_record(loaded.completed[0], make_stats(7))
         assert loaded.pending_indices(len(SHARDS)) == [1]
 
     def test_compaction_triggers_automatically(self, tmp_path):
         many = [((i,), ()) for i in range(COMPACT_INTERVAL + 8)]
         store = FrontierStore(str(tmp_path / "frontier.jsonl"))
-        store.begin(FINGERPRINT, make_stats(0), {}, many)
+        store.begin(FINGERPRINT, make_stats(0), many)
         for idx in range(COMPACT_INTERVAL + 2):
-            store.record_completion(idx, make_stats(1), {})
+            store.record_completion(idx, make_stats(1))
         store.close()
         with open(store.path) as handle:
             lines = handle.read().splitlines()
@@ -160,8 +198,8 @@ class TestStoreLifecycle:
 
     def test_merged_completed_stats_folds_in_shard_order(self, tmp_path):
         store = begin_store(tmp_path / "frontier.jsonl")
-        store.record_completion(2, make_stats(9), {})
-        store.record_completion(0, make_stats(7, violation=True), {})
+        store.record_completion(2, make_stats(9))
+        store.record_completion(0, make_stats(7, violation=True))
         merged = store.merged_completed_stats()
         store.close()
         assert merged == make_stats(7, violation=True).merge(make_stats(9))
@@ -206,6 +244,27 @@ class TestValidation:
         store = FrontierStore(str(path))
         with pytest.raises(ValueError, match="schema"):
             store.load()
+
+    @pytest.mark.parametrize("line,match", [
+        ({"shard": 0, "complete_runs": "7"}, "complete_runs"),
+        ({"shard": None}, "no shard"),
+        ({"shard": len(SHARDS)}, "no shard"),
+        ({"shard": True}, "no shard")])
+    def test_malformed_journal_line_makes_the_store_unreadable(
+            self, tmp_path, line, match):
+        # A parseable line is no torn tail: a completion of no shard, or
+        # with malformed statistics, must not be merged, nor skipped as
+        # if the shard were pending.
+        store = begin_store(tmp_path / "frontier.jsonl")
+        store.close()
+        stats = dict(stats_to_dict(make_stats(7)))
+        stats.update((k, v) for k, v in line.items() if k != "shard")
+        with open(store.path, "a") as handle:
+            handle.write(json.dumps({"kind": "complete",
+                                     "shard": line["shard"],
+                                     "stats": stats}) + "\n")
+        with pytest.raises(ValueError, match=match):
+            FrontierStore(store.path).load()
 
 
 class TestLeaseTable:

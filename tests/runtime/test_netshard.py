@@ -13,7 +13,7 @@ import pytest
 
 from repro.runtime import lease as lease_mod
 from repro.runtime.explore import ExplorationStats
-from repro.runtime.frontier import stats_to_dict
+from repro.runtime.frontier import stats_from_dict, stats_to_dict
 from repro.runtime.lease import LeaseTable
 from repro.runtime.netshard import (CONNECT_BACKOFF_CAP, ShardServer,
                                     ShardWorker, backoff_delay)
@@ -26,7 +26,7 @@ PAYLOADS = [((0,), frozenset()), ((1,), frozenset({0})),
 
 def _runner(payload):
     prefix, _sleep = payload
-    return (ExplorationStats(complete_runs=1 + prefix[0]), {})
+    return (ExplorationStats(complete_runs=1 + prefix[0]), None)
 
 
 def _server(**kwargs):
@@ -37,8 +37,17 @@ def _server(**kwargs):
 
 def _stats_body(shard, worker_id, runs=5):
     return {"type": "complete", "worker_id": worker_id, "shard": shard,
-            "stats": stats_to_dict(ExplorationStats(complete_runs=runs)),
-            "counters": {"states_cached": 1}}
+            "stats": stats_to_dict(ExplorationStats(complete_runs=runs,
+                                                    sleep_checks=3))}
+
+
+def _granted(server):
+    """A fresh worker holding a lease: (worker id, shard index)."""
+    wid = server.handle_message({"type": "hello", "worker": "w"},
+                                now=0.0)["worker_id"]
+    grant = server.handle_message({"type": "request", "worker_id": wid},
+                                  now=0.0)
+    return wid, grant["shard"]
 
 
 class TestHello:
@@ -135,7 +144,7 @@ class TestGrantAndComplete:
                                     now=2.0)
         assert dup == {"type": "ok", "accepted": False}
         # First result stands: 5 complete runs, not the replayed 999.
-        (stats, _counters), _err = server.outcomes[grant["shard"]]
+        (stats, _reason), _err = server.outcomes[grant["shard"]]
         assert stats.complete_runs == 5
 
     def test_stale_completion_after_expiry_is_rejected(self):
@@ -185,6 +194,58 @@ class TestGrantAndComplete:
         assert server.run_one_inprocess()
         assert server.outcomes[grant["shard"]] is not None
         assert server.tallies["inprocess_shards"] == 1
+
+    def test_completion_settles_stats_and_no_interrupt(self):
+        server = _server()
+        wid, shard = _granted(server)
+        server.handle_message(_stats_body(shard, wid), now=1.0)
+        (stats, reason), error = server.outcomes[shard]
+        assert (stats.complete_runs, stats.sleep_checks) == (5, 3)
+        assert reason is None and error is None
+
+    def test_budget_stop_settles_with_its_reason(self):
+        """A worker whose shard hit ``max_runs`` says so; the shard
+        settles exactly as a fork-pool worker's would, partial
+        statistics plus reason, so it is never journaled complete."""
+        server = _server()
+        wid, shard = _granted(server)
+        body = dict(_stats_body(shard, wid), interrupted="max_runs")
+        assert server.handle_message(body, now=1.0) == \
+            {"type": "ok", "accepted": True}
+        assert server.outcomes[shard] == \
+            ((stats_from_dict(body["stats"]), "max_runs"), None)
+
+    @pytest.mark.parametrize("reason", ["budget", 3, ""])
+    def test_unknown_interrupt_reason_is_an_error(self, reason):
+        server = _server()
+        wid, shard = _granted(server)
+        body = dict(_stats_body(shard, wid), interrupted=reason)
+        assert server.handle_message(body, now=1.0)["type"] == "error"
+        assert server.outcomes[shard] is None
+
+    @pytest.mark.parametrize("value", ["3", True, -1, 2.0, None])
+    def test_mistyped_count_is_an_error_and_settles_nothing(self, value):
+        """A completion whose counts are not non-negative ints is
+        rejected where it is decoded; the coordinator never merges it,
+        and the holder's lease stays live for an honest retry."""
+        server = _server()
+        wid, shard = _granted(server)
+        body = _stats_body(shard, wid)
+        body["stats"]["complete_runs"] = value
+        reply = server.handle_message(body, now=1.0)
+        assert reply["type"] == "error"
+        assert "complete_runs" in reply["reason"]
+        assert server.outcomes[shard] is None
+        assert server.handle_message(_stats_body(shard, wid),
+                                     now=2.0)["accepted"]
+
+    def test_completion_without_stats_is_an_error(self):
+        server = _server()
+        wid, shard = _granted(server)
+        body = _stats_body(shard, wid)
+        del body["stats"]
+        assert server.handle_message(body, now=1.0)["type"] == "error"
+        assert server.outcomes[shard] is None
 
     def test_bad_shard_index_is_an_error(self):
         server = _server()

@@ -32,10 +32,11 @@ SCENARIOS = check_scenarios(n=3)
 def _outcome(sc, state_cache, fingerprinter=None):
     """The deterministic observable outcome of one exploration.
 
-    Verdict, ``deterministic_view``, the exact run counts, and (for a
-    violation) the ddmin-shrunk counterexample.  Run counts are
-    compared too: the cache's no-op-plant hit rule makes reuse exact,
-    not merely sound, so even ``total_runs`` must agree bit-for-bit.
+    Verdict, ``deterministic_view``, the exact run and sleep-set
+    counts, and (for a violation) the ddmin-shrunk counterexample.
+    Counts are compared too: the cache's no-op-plant hit rule makes
+    reuse exact, not merely sound, so even ``total_runs`` and
+    ``sleep_checks`` must agree bit-for-bit.
     """
     try:
         stats = explore_dpor(sc.build, sc.check,
@@ -52,7 +53,8 @@ def _outcome(sc, state_cache, fingerprinter=None):
                 (list(cex.prefix), list(cex.tail), list(cex.schedule)))
     return ("passed", stats.deterministic_view(),
             (stats.total_runs, stats.complete_runs, stats.truncated_runs,
-             stats.pruned_runs, stats.max_depth_seen))
+             stats.pruned_runs, stats.max_depth_seen, stats.sleep_checks,
+             stats.sleep_hits, stats.peak_frontier))
 
 
 class TestRegistryDifferential:
